@@ -325,12 +325,6 @@ fn spawn_server(
             &shards.to_string(),
             "--precision",
             precision,
-            // The default 2ms batching linger is tuned for open-loop
-            // traffic; under a closed loop it dominates every leg's
-            // latency and masks the architectural differences the bench
-            // exists to measure.
-            "--max-wait-us",
-            "200",
             "--trace",
             if trace { "on" } else { "off" },
         ])
@@ -1087,8 +1081,6 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
             "evloop",
             "--shards",
             "1",
-            "--max-wait-us",
-            "200",
             "--trace",
             "off",
             "--stream",

@@ -67,12 +67,11 @@ pub struct WideEvent {
     pub read_us: u32,
     /// HTTP head + feature-JSON parsing.
     pub parse_us: u32,
-    /// Shard selection and queue hand-off.
+    /// Admission to a shard (shed check and hand-off to the tick's batch).
     pub dispatch_us: u32,
-    /// Sitting in the shard queue before being popped.
+    /// Admitted until the request's batch took the shard.
     pub queue_us: u32,
-    /// Batch assembly: popped until the batched forward started (linger
-    /// plus buffer fill).
+    /// Batch assembly: copying the rows into the forward's input buffer.
     pub assembly_us: u32,
     /// The batched forward pass.
     pub forward_us: u32,

@@ -1,41 +1,41 @@
-//! The sharded micro-batching layer between connection handling and the
-//! scorer threads that own the model replicas.
+//! The scorer shards: model replicas, per-tick batching, and hot reload.
 //!
-//! A [`ShardPool`] holds `N` scorer shards. Every shard owns a full model
-//! replica — replicas are built from one parsed checkpoint document, and
+//! A [`ShardPool`] holds `N` shards. Every shard owns a full model replica
+//! — replicas are built from one parsed checkpoint document, and
 //! checkpoints restore bit-exactly, so all same-precision shards score
-//! bitwise-identically — plus a *bounded* job queue. [`ShardPool::submit`]
-//! dispatches to the shard with the least queue depth, breaking ties
-//! round-robin; when every queue is full the submission fails immediately
-//! and the caller sheds load with `503`. Each shard pops the first waiting
-//! job, lingers up to `max_wait_us` coalescing more jobs until `max_batch`
-//! rows are in hand, and runs **one** forward pass over the combined batch
-//! through [`Sgan::probs3_into`]. Batch and output matrices come from
-//! per-shard [`Workspace`] pools, so steady-state serving does not
-//! allocate.
+//! bitwise-identically — behind its own lock, plus pooled [`Workspace`]
+//! buffers, so steady-state serving does not allocate. The pool runs no
+//! threads: whoever holds a shard's lock scores on its own thread.
 //!
-//! Each shard runs at a fixed [`Precision`] chosen at spawn time
-//! ([`ShardPool::spawn_with_precisions`]). `F64` shards serve the exact
-//! training-precision replica; `F32` shards serve a one-way
-//! [`SganInfer<f32>`] lowering of the same checkpoint — features are
-//! narrowed on batch assembly and probabilities widened on reply, so the
-//! wire format never changes. The f32 path trades the bitwise-parity
-//! guarantee for bandwidth: divergence against f64 is bounded by the
-//! committed tolerance corpus (`BENCH_precision.json`), and replies stamp
-//! their [`ScoreReply::precision`] so clients can tell.
+//! * The event loop that owns shard `i` gathers one tick's feature jobs
+//!   ([`ShardPool::admit`] bounds them at `queue_capacity`; the rest are
+//!   shed) and scores them with [`ShardPool::score_jobs`] in forwards of
+//!   at most `max_batch` rows each. This is greedy draining: a batch holds
+//!   exactly what arrived since the previous tick and never waits for
+//!   more.
+//! * Blocking callers ([`ShardPool::score`], [`ShardPool::submit`]) pick
+//!   the shard with the fewest waiting callers, wait for its lock, and run
+//!   a forward over their own rows. Once `queue_capacity` callers already
+//!   wait on that shard, the call sheds instead.
 //!
-//! Hot reload rides a second, unbounded control channel per shard: a
-//! [`ShardPool::reload`] parses and validates the new checkpoint *once*,
-//! builds one replica per shard in that shard's precision (all-or-nothing
-//! — a checkpoint that fails to decode swaps nothing), and sends each
-//! shard a swap message. Shards apply swaps only **between** batches, so
-//! every row of any single batch is scored by exactly one model version,
-//! and no request is ever dropped: jobs queued across the swap simply
-//! score on whichever version their batch runs under.
+//! Each shard runs at a fixed [`Precision`] chosen at construction
+//! ([`ShardPool::new`]). `F64` shards serve the exact training-precision
+//! replica; `F32` shards serve a one-way [`SganInfer<f32>`] lowering of the
+//! same checkpoint — features are narrowed on batch assembly and
+//! probabilities widened on reply, so the wire format never changes. The
+//! f32 path trades the bitwise-parity guarantee for bandwidth: divergence
+//! against f64 is bounded by the committed tolerance corpus
+//! (`BENCH_precision.json`), and replies stamp their
+//! [`ScoreReply::precision`] so clients can tell.
 //!
-//! Shutdown is the natural channel protocol: when every submit handle is
-//! dropped each shard drains whatever is still queued — every job gets its
-//! reply — and exits. No job is ever dropped on the floor.
+//! Hot reload ([`ShardPool::reload`]) parses and validates the new
+//! checkpoint *once* on the calling thread, builds one replica per shard in
+//! that shard's precision (all-or-nothing — a checkpoint that fails to
+//! decode swaps nothing), then swaps each replica in under that shard's
+//! lock. A forward holds the lock for its whole batch, so every row of any
+//! single batch is scored by exactly one model version, and no request is
+//! ever dropped: jobs scored across the swap simply run under whichever
+//! version holds the lock when their batch starts.
 
 use crate::metrics;
 use gale_core::{Sgan, SganInfer};
@@ -43,22 +43,18 @@ use gale_nn::checkpoint::{self, CkptError};
 use gale_tensor::Workspace;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Micro-batching knobs.
+/// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Row budget per forward pass; the collector stops coalescing once the
-    /// batch holds at least this many rows.
+    /// Row budget per forward pass: a tick's jobs are split into forwards
+    /// of at most this many rows (a single larger job runs alone).
     pub max_batch: usize,
-    /// How long the collector lingers for more work after the first job of
-    /// a batch arrives, in microseconds.
-    pub max_wait_us: u64,
-    /// Bounded queue capacity in *jobs*, per shard; submissions beyond it
-    /// are shed.
+    /// Jobs a shard accepts per tick (event loop) or lets wait for its
+    /// lock (blocking callers); jobs beyond it are shed.
     pub queue_capacity: usize,
 }
 
@@ -66,7 +62,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 64,
-            max_wait_us: 2_000,
             queue_capacity: 128,
         }
     }
@@ -162,17 +157,19 @@ impl ShardModel {
     }
 }
 
-/// One queued scoring request: `rows` feature rows, flattened row-major.
-struct ScoreJob {
-    features: Vec<f64>,
-    rows: usize,
-    enqueued: Instant,
-    reply: mpsc::Sender<ScoreReply>,
+/// One feature job: `rows` feature rows, flattened row-major.
+#[derive(Debug)]
+pub struct Job {
+    /// The rows, `rows * input_dim` values.
+    pub features: Vec<f64>,
+    /// Number of rows.
+    pub rows: usize,
+    /// When the job was admitted; its queue time counts from here.
+    pub enqueued: Instant,
 }
 
-/// A scored batch slice headed back to its requester, stage timings
-/// included so the connection layer can finish the request's wide event
-/// without asking the shard anything.
+/// A scored job's probabilities, with the placement and stage timings the
+/// connection layer needs to finish the request's wide event.
 #[derive(Debug)]
 pub struct ScoreReply {
     /// Monotonic model generation that scored these rows. Every row in the
@@ -183,12 +180,11 @@ pub struct ScoreReply {
     pub probs: Vec<f64>,
     /// Shard that ran the forward pass.
     pub shard: u32,
-    /// Total rows in the coalesced batch this job rode in.
+    /// Total rows in the batch this job rode in.
     pub batch_rows: u32,
-    /// This job's time in the shard queue before being popped,
-    /// microseconds.
+    /// Admitted until its batch took the shard, microseconds.
     pub queue_us: u32,
-    /// Popped until the batched forward started (linger + buffer fill),
+    /// Batch assembly (copying the rows into the forward's input buffer),
     /// microseconds.
     pub assembly_us: u32,
     /// The batched forward pass, microseconds (shared by every job in the
@@ -198,13 +194,11 @@ pub struct ScoreReply {
     pub precision: Precision,
 }
 
-/// Why a submission was rejected.
+/// Why a job was not admitted.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Every shard queue is at capacity — retry later.
+    /// The shard already holds `queue_capacity` jobs — retry later.
     Overloaded,
-    /// The pool has shut down; no further work is accepted.
-    Stopped,
 }
 
 /// Why a hot reload did not happen. Whatever the cause, the shards keep
@@ -221,8 +215,6 @@ pub enum ReloadError {
         /// Input dimension found in the checkpoint.
         found: usize,
     },
-    /// The pool is shutting down; shards are no longer accepting swaps.
-    PoolDown,
 }
 
 impl std::fmt::Display for ReloadError {
@@ -233,7 +225,6 @@ impl std::fmt::Display for ReloadError {
                 f,
                 "checkpoint input_dim {found} does not match the served model's {expected}"
             ),
-            ReloadError::PoolDown => write!(f, "pool is shutting down"),
         }
     }
 }
@@ -244,23 +235,12 @@ impl From<CkptError> for ReloadError {
     }
 }
 
-/// Control messages delivered outside the job queue (never shed).
-enum Ctrl {
-    /// Replace the shard's model between batches. The replacement is
-    /// already at the shard's precision — shards never change width.
-    Swap {
-        model: ShardModel,
-        version: u64,
-        ack: Sender<()>,
-    },
-}
-
-/// Live per-shard counters, shared between the scorer thread (writer) and
-/// `/debug/queues` (reader). All relaxed: the endpoint reports a consistent
+/// Live per-shard counters, written by whoever scores on the shard and
+/// read by `/debug/queues`. All relaxed: the endpoint reports a consistent
 /// *recent* picture, not a linearized snapshot.
 #[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Jobs popped from the queue and not yet answered.
+struct ShardStats {
+    /// Jobs in the forward pass running right now.
     in_flight: AtomicU64,
     /// Rows in the most recently executed batch.
     last_batch_rows: AtomicU64,
@@ -273,9 +253,9 @@ pub struct ShardStats {
 /// One shard's `/debug/queues` row.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSnapshot {
-    /// Jobs waiting in the shard queue.
+    /// Jobs admitted and not yet picked into a forward.
     pub depth: i64,
-    /// Jobs popped and not yet answered.
+    /// Jobs in the forward pass running right now.
     pub in_flight: u64,
     /// Rows in the most recent batch (0 before the first).
     pub last_batch_rows: u64,
@@ -283,67 +263,188 @@ pub struct ShardSnapshot {
     pub last_batch_version: u64,
     /// Forward passes executed.
     pub batches: u64,
-    /// Arithmetic width this shard scores at (fixed at spawn).
+    /// Arithmetic width this shard scores at (fixed at construction).
     pub precision: Precision,
 }
 
-/// One shard's submission handles.
+/// A shard's replica and its scoring buffers; lives behind the shard lock.
+struct Replica {
+    model: ShardModel,
+    version: u64,
+    /// One buffer pool per precision; only the pool matching the replica's
+    /// precision is ever exercised, the other stays empty.
+    ws64: Workspace<f64>,
+    ws32: Workspace<f32>,
+    /// Widened probabilities of the current batch, reused across batches
+    /// so the f32 path's widen step does not allocate either.
+    scored: Vec<f64>,
+    /// Workspace `(hits, misses)` already mirrored into `/metrics`.
+    reported: (u64, u64),
+}
+
+impl Replica {
+    fn new(model: ShardModel) -> Replica {
+        Replica {
+            model,
+            version: INITIAL_VERSION,
+            ws64: Workspace::new(),
+            ws32: Workspace::new(),
+            scored: Vec::new(),
+            reported: (0, 0),
+        }
+    }
+
+    /// One forward over `batch` (`rows` rows in all) through the pooled
+    /// buffers of the replica's precision, pushing one reply per job onto
+    /// `out`. The f32 arm narrows features during assembly and widens
+    /// probabilities right after the forward, so everything downstream
+    /// stays f64.
+    fn forward(
+        &mut self,
+        shard: u32,
+        batch: &[Job],
+        rows: usize,
+        stats: &ShardStats,
+        out: &mut Vec<ScoreReply>,
+    ) {
+        let picked = Instant::now();
+        // Stored, not added: the shard lock admits one forward at a time,
+        // so a forward that panicked leaves no stale count behind.
+        stats.in_flight.store(batch.len() as u64, Ordering::Relaxed);
+        let Replica {
+            model,
+            version,
+            ws64,
+            ws32,
+            scored,
+            reported,
+        } = self;
+        let dim = model.input_dim();
+        let precision = model.precision();
+        let forward_started;
+        let forward_us;
+        scored.clear();
+        match model {
+            ShardModel::F64(m) => {
+                let mut input = ws64.take(rows, dim);
+                let mut offset = 0usize;
+                for job in batch {
+                    input.data_mut()[offset..offset + job.features.len()]
+                        .copy_from_slice(&job.features);
+                    offset += job.features.len();
+                }
+                let mut probs = ws64.take(rows, 3);
+                forward_started = Instant::now();
+                m.probs3_into(&input, &mut probs);
+                forward_us = us32(forward_started.elapsed());
+                scored.extend_from_slice(probs.data());
+                ws64.give(input);
+                ws64.give(probs);
+            }
+            ShardModel::F32(m) => {
+                let mut input = ws32.take(rows, dim);
+                let mut offset = 0usize;
+                for job in batch {
+                    let dst = &mut input.data_mut()[offset..offset + job.features.len()];
+                    for (d, &s) in dst.iter_mut().zip(&job.features) {
+                        *d = s as f32;
+                    }
+                    offset += job.features.len();
+                }
+                let mut probs = ws32.take(rows, 3);
+                forward_started = Instant::now();
+                m.probs3_into(&input, &mut probs);
+                forward_us = us32(forward_started.elapsed());
+                scored.extend(probs.data().iter().map(|&v| v as f64));
+                ws32.give(input);
+                ws32.give(probs);
+            }
+        }
+        metrics::batches().add(1);
+        metrics::rows().add(rows as u64);
+        metrics::batch_rows().record(rows as f64);
+        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.last_batch_rows.store(rows as u64, Ordering::Relaxed);
+        stats.last_batch_version.store(*version, Ordering::Relaxed);
+        let (h64, m64) = ws64.stats();
+        let (h32, m32) = ws32.stats();
+        let (hits, misses) = (h64 + h32, m64 + m32);
+        metrics::pool_hits().add(hits - reported.0);
+        metrics::pool_misses().add(misses - reported.1);
+        *reported = (hits, misses);
+
+        let assembly_us = us32(forward_started.duration_since(picked));
+        let mut row0 = 0usize;
+        for job in batch {
+            let queue_us = us32(picked.duration_since(job.enqueued));
+            metrics::latency_us().record(job.enqueued.elapsed().as_secs_f64() * 1e6);
+            metrics::stage_queue_us().record(queue_us as f64);
+            metrics::stage_assembly_us().record(assembly_us as f64);
+            metrics::stage_forward_us().record(forward_us as f64);
+            out.push(ScoreReply {
+                version: *version,
+                probs: scored[row0 * 3..(row0 + job.rows) * 3].to_vec(),
+                shard,
+                batch_rows: rows.min(u32::MAX as usize) as u32,
+                queue_us,
+                assembly_us,
+                forward_us,
+                precision,
+            });
+            row0 += job.rows;
+        }
+        stats.in_flight.store(0, Ordering::Relaxed);
+    }
+}
+
+/// One shard: its locked replica and live counters.
 struct Shard {
-    tx: SyncSender<ScoreJob>,
-    ctrl: Sender<Ctrl>,
-    depth: Arc<AtomicI64>,
-    stats: Arc<ShardStats>,
+    replica: Mutex<Replica>,
+    /// Jobs admitted and not yet picked into a forward.
+    depth: AtomicI64,
+    stats: ShardStats,
     precision: Precision,
 }
 
-/// The sharded scorer pool. Cloned freely via `Arc`; dropping the last
-/// handle disconnects every shard queue, which drains and exits.
+impl Shard {
+    /// Takes the replica. A panic during a forward poisons the lock but
+    /// cannot leave the replica half-updated (a forward only overwrites
+    /// scratch buffers, and a swap is a single assignment), so the poison
+    /// is cleared rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Replica> {
+        self.replica.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The scorer shards. Shared freely via `Arc`; runs no threads of its own.
 pub struct ShardPool {
     shards: Vec<Shard>,
     rr: AtomicUsize,
     version: AtomicU64,
     input_dim: usize,
+    cfg: BatchConfig,
     /// Serializes reloads so versions are assigned in order.
     reload_lock: Mutex<()>,
 }
 
 impl ShardPool {
-    /// Spawns `shards` all-`f64` scorer threads around replicas of `model`
-    /// and returns the pool plus the thread handles (join them after
-    /// dropping the pool to wait for the drain).
-    ///
-    /// Replica construction round-trips the model through its checkpoint
-    /// document, which restores bit-exactly — every shard scores any row
-    /// bitwise-identically to every other.
-    pub fn spawn(
-        model: Sgan,
-        shards: usize,
-        cfg: &BatchConfig,
-    ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
-        ShardPool::spawn_with_precisions(model, &vec![Precision::F64; shards.max(1)], cfg)
-    }
-
-    /// Spawns one scorer thread per entry of `precisions`, each serving a
-    /// replica of `model` lowered to that shard's precision. `F64` shards
-    /// are bit-exact with the checkpoint (and with each other); `F32`
-    /// shards serve the one-way [`SganInfer<f32>`] lowering.
-    pub fn spawn_with_precisions(
-        model: Sgan,
-        precisions: &[Precision],
-        cfg: &BatchConfig,
-    ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
+    /// Builds one shard per entry of `precisions` (empty means one `f64`
+    /// shard), each holding a replica of `model` lowered to that shard's
+    /// precision. `F64` shards are bit-exact with the checkpoint (and with
+    /// each other); `F32` shards serve the one-way [`SganInfer<f32>`]
+    /// lowering.
+    pub fn new(model: Sgan, precisions: &[Precision], cfg: &BatchConfig) -> Arc<ShardPool> {
         metrics::register_all();
         let precisions: &[Precision] = if precisions.is_empty() {
             &[Precision::F64]
         } else {
             precisions
         };
-        let shards = precisions.len();
         let input_dim = model.input_dim();
         // The trainable f64 model moves into the first f64 shard; every
         // other replica (and every f32 lowering) comes from one encoded
         // checkpoint document, which restores bit-exactly.
-        let doc = if shards > 1 || precisions[0] == Precision::F32 {
+        let doc = if precisions.len() > 1 || precisions[0] == Precision::F32 {
             Some(
                 model
                     .to_json()
@@ -352,9 +453,8 @@ impl ShardPool {
         } else {
             None
         };
-        let mut handles = Vec::with_capacity(shards);
-        let mut slots = Vec::with_capacity(shards);
         let mut model = Some(model);
+        let mut shards = Vec::with_capacity(precisions.len());
         for (i, &precision) in precisions.iter().enumerate() {
             let proto = match (precision, model.take()) {
                 (Precision::F64, Some(m)) => m,
@@ -368,51 +468,35 @@ impl ShardPool {
                         .expect("re-decoding a just-encoded model cannot fail")
                 }
             };
-            let replica = ShardModel::lower(proto, precision);
             metrics::shard_precision(i).set(precision.bits() as f64);
-            let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-            let (ctrl_tx, ctrl_rx) = mpsc::channel();
-            let depth = Arc::new(AtomicI64::new(0));
-            let stats = Arc::new(ShardStats::default());
-            let shard_depth = depth.clone();
-            let shard_stats = stats.clone();
-            let batch_cfg = cfg.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gale-shard-{i}"))
-                    .spawn(move || {
-                        run_shard(
-                            replica,
-                            INITIAL_VERSION,
-                            i as u32,
-                            rx,
-                            ctrl_rx,
-                            shard_depth,
-                            shard_stats,
-                            &batch_cfg,
-                        );
-                    })
-                    .expect("spawning a shard thread"),
-            );
-            slots.push(Shard {
-                tx,
-                ctrl: ctrl_tx,
-                depth,
-                stats,
+            shards.push(Shard {
+                replica: Mutex::new(Replica::new(ShardModel::lower(proto, precision))),
+                depth: AtomicI64::new(0),
+                stats: ShardStats::default(),
                 precision,
             });
         }
         metrics::model_version().set(INITIAL_VERSION as f64);
-        (
-            Arc::new(ShardPool {
-                shards: slots,
-                rr: AtomicUsize::new(0),
-                version: AtomicU64::new(INITIAL_VERSION),
-                input_dim,
-                reload_lock: Mutex::new(()),
-            }),
-            handles,
-        )
+        Arc::new(ShardPool {
+            shards,
+            rr: AtomicUsize::new(0),
+            version: AtomicU64::new(INITIAL_VERSION),
+            input_dim,
+            cfg: cfg.clone(),
+            reload_lock: Mutex::new(()),
+        })
+    }
+
+    /// [`ShardPool::new`] with `shards` all-`f64` shards, in the shape of a
+    /// thread-spawning constructor: the pool runs no threads, so the
+    /// handle list is always empty and joining it is a no-op.
+    pub fn spawn(
+        model: Sgan,
+        shards: usize,
+        cfg: &BatchConfig,
+    ) -> (Arc<ShardPool>, Vec<JoinHandle<()>>) {
+        let precisions = vec![Precision::F64; shards.max(1)];
+        (ShardPool::new(model, &precisions, cfg), Vec::new())
     }
 
     /// Input dimension every shard's model expects.
@@ -425,7 +509,8 @@ impl ShardPool {
         self.shards.len()
     }
 
-    /// Per-shard serving precisions, in shard order (fixed at spawn).
+    /// Per-shard serving precisions, in shard order (fixed at
+    /// construction).
     pub fn precisions(&self) -> Vec<Precision> {
         self.shards.iter().map(|s| s.precision).collect()
     }
@@ -451,76 +536,89 @@ impl ShardPool {
             .collect()
     }
 
-    /// Enqueues `rows` feature rows (flattened row-major) on the
-    /// least-loaded shard and returns the channel the scored probabilities
-    /// arrive on.
-    ///
-    /// Dispatch is least-depth with a rotating tie-break: among shards at
-    /// the minimum queue depth the winner advances round-robin, so equal
-    /// load spreads instead of piling onto shard zero. If the chosen shard
-    /// fills up between the depth read and the send, the remaining shards
-    /// are tried in rotation before shedding.
+    /// Admits one job to shard `shard`, or sheds it (counted in
+    /// `serve_shed`) when the shard already holds `queue_capacity` admitted
+    /// jobs that no forward has picked up yet.
+    pub fn admit(&self, shard: usize) -> Result<(), SubmitError> {
+        metrics::requests().add(1);
+        let depth = &self.shards[shard].depth;
+        if depth.fetch_add(1, Ordering::Relaxed) >= self.cfg.queue_capacity.max(1) as i64 {
+            depth.fetch_sub(1, Ordering::Relaxed);
+            metrics::shed().add(1);
+            return Err(SubmitError::Overloaded);
+        }
+        metrics::queue_depth().add(1.0);
+        Ok(())
+    }
+
+    /// Scores admitted `jobs` on shard `shard`, on the calling thread, in
+    /// order: consecutive jobs share a forward while their rows fit in
+    /// `max_batch` (a larger job runs alone). Pushes one reply per job onto
+    /// `out`, in job order. The shard lock is taken per forward, so a
+    /// reload swap lands between two forwards, never inside one. The jobs
+    /// leave the shard's queue count when the first forward starts.
+    pub fn score_jobs(&self, shard: usize, jobs: &[Job], out: &mut Vec<ScoreReply>) {
+        let s = &self.shards[shard];
+        let mut start = 0;
+        while start < jobs.len() {
+            let mut rows = jobs[start].rows;
+            let mut end = start + 1;
+            while end < jobs.len() && rows + jobs[end].rows <= self.cfg.max_batch {
+                rows += jobs[end].rows;
+                end += 1;
+            }
+            let batch = &jobs[start..end];
+            let mut replica = s.lock();
+            if start == 0 {
+                // All of the call's jobs leave the queue together, before
+                // any forward could panic and strand them in the count.
+                s.depth.fetch_sub(jobs.len() as i64, Ordering::Relaxed);
+                metrics::queue_depth().add(-(jobs.len() as f64));
+            }
+            replica.forward(shard as u32, batch, rows, &s.stats, out);
+            start = end;
+        }
+    }
+
+    /// Scores one job on the calling thread: admits it to the shard with
+    /// the fewest admitted jobs (ties rotate, so equal load spreads), waits
+    /// for that shard's lock, and runs one forward over its rows. Sheds
+    /// when the chosen shard already holds `queue_capacity` jobs.
+    pub fn score(&self, features: Vec<f64>, rows: usize) -> Result<ScoreReply, SubmitError> {
+        let n = self.shards.len();
+        let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
+        let shard = (0..n)
+            .map(|off| (start + off) % n)
+            .min_by_key(|&i| self.shards[i].depth.load(Ordering::Relaxed))
+            .expect("a pool has at least one shard");
+        let job = Job {
+            features,
+            rows,
+            enqueued: Instant::now(),
+        };
+        self.admit(shard)?;
+        let mut out = Vec::with_capacity(1);
+        self.score_jobs(shard, std::slice::from_ref(&job), &mut out);
+        Ok(out.pop().expect("one reply per job"))
+    }
+
+    /// [`ShardPool::score`] with the reply delivered on a channel, for
+    /// callers that consume replies as messages. The reply is already
+    /// waiting when this returns.
     pub fn submit(
         &self,
         features: Vec<f64>,
         rows: usize,
     ) -> Result<mpsc::Receiver<ScoreReply>, SubmitError> {
-        metrics::requests().add(1);
-        let n = self.shards.len();
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-        let mut best = start;
-        let mut best_depth = i64::MAX;
-        for off in 0..n {
-            let i = (start + off) % n;
-            let d = self.shards[i].depth.load(Ordering::Relaxed);
-            if d < best_depth {
-                best_depth = d;
-                best = i;
-            }
-        }
-        let (reply, reply_rx) = mpsc::channel();
-        let mut job = ScoreJob {
-            features,
-            rows,
-            enqueued: Instant::now(),
-            reply,
-        };
-        let mut stopped = false;
-        for off in 0..n {
-            let i = (best + off) % n;
-            let shard = &self.shards[i];
-            // Count the job *before* sending: the shard may pop (and
-            // decrement) it the instant `try_send` returns, and the gauge
-            // must never observe that decrement before this increment.
-            shard.depth.fetch_add(1, Ordering::Relaxed);
-            metrics::queue_depth().add(1.0);
-            match shard.tx.try_send(job) {
-                Ok(()) => return Ok(reply_rx),
-                Err(e) => {
-                    shard.depth.fetch_sub(1, Ordering::Relaxed);
-                    metrics::queue_depth().add(-1.0);
-                    match e {
-                        TrySendError::Full(j) => job = j,
-                        TrySendError::Disconnected(j) => {
-                            stopped = true;
-                            job = j;
-                        }
-                    }
-                }
-            }
-        }
-        if stopped {
-            Err(SubmitError::Stopped)
-        } else {
-            metrics::shed().add(1);
-            Err(SubmitError::Overloaded)
-        }
+        let reply = self.score(features, rows)?;
+        let (tx, rx) = mpsc::channel();
+        let _ = tx.send(reply);
+        Ok(rx)
     }
 
-    /// Loads, validates, and atomically swaps a new checkpoint into every
-    /// shard. Runs entirely off the scoring hot path: file IO, JSON
-    /// parsing, and replica construction happen on the calling thread;
-    /// shards only exchange a pointer between batches.
+    /// Loads, validates, and swaps a new checkpoint into every shard. File
+    /// IO, JSON parsing, and replica construction happen on the calling
+    /// thread; each shard's lock is held only for the pointer swap.
     ///
     /// All-or-nothing: any read/decode/validation failure returns the typed
     /// error *before* any shard has been touched, and the old model keeps
@@ -529,7 +627,7 @@ impl ShardPool {
         let _guard = self
             .reload_lock
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+            .unwrap_or_else(PoisonError::into_inner);
         // Parse once, decode once per shard: every replica comes from the
         // same document, so all same-precision shards restore
         // bit-identically. F32 shards get the validated f64 decode lowered
@@ -547,21 +645,18 @@ impl ShardPool {
             });
         }
         let new_version = self.version.load(Ordering::SeqCst) + 1;
-        let mut acks = Vec::with_capacity(self.shards.len());
-        for (shard, replica) in self.shards.iter().zip(replicas) {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            shard
-                .ctrl
-                .send(Ctrl::Swap {
-                    model: replica,
-                    version: new_version,
-                    ack: ack_tx,
-                })
-                .map_err(|_| ReloadError::PoolDown)?;
-            acks.push(ack_rx);
-        }
-        for ack in acks {
-            ack.recv().map_err(|_| ReloadError::PoolDown)?;
+        for (shard, model) in self.shards.iter().zip(replicas) {
+            debug_assert_eq!(
+                model.precision(),
+                shard.precision,
+                "swap must keep the shard's width"
+            );
+            // The old replica drops after the lock is released.
+            let _old = {
+                let mut replica = shard.lock();
+                replica.version = new_version;
+                std::mem::replace(&mut replica.model, model)
+            };
         }
         self.version.store(new_version, Ordering::SeqCst);
         metrics::model_version().set(new_version as f64);
@@ -573,170 +668,10 @@ impl ShardPool {
 /// Model generation a freshly booted pool serves.
 pub const INITIAL_VERSION: u64 = 1;
 
-/// How long a shard sleeps in `recv_timeout` between control-channel polls
-/// while its job queue is idle. Bounds swap latency on an idle server.
-const IDLE_POLL: Duration = Duration::from_millis(2);
-
 /// Clamps a duration to microseconds in a `u32` (saturating: a >71-minute
 /// stage is pinned, not wrapped).
 fn us32(d: Duration) -> u32 {
     d.as_micros().min(u32::MAX as u128) as u32
-}
-
-/// The scoring loop of one shard. Runs until the pool (every job sender)
-/// is dropped, then drains the queue — each remaining job still gets its
-/// reply — and exits.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    mut model: ShardModel,
-    mut version: u64,
-    shard_id: u32,
-    rx: Receiver<ScoreJob>,
-    ctrl: Receiver<Ctrl>,
-    depth: Arc<AtomicI64>,
-    stats: Arc<ShardStats>,
-    cfg: &BatchConfig,
-) {
-    let dim = model.input_dim();
-    let precision = model.precision();
-    // One buffer pool per precision the shard can touch; only the pool
-    // matching `precision` is ever exercised, the other stays empty.
-    let mut ws64: Workspace<f64> = Workspace::new();
-    let mut ws32: Workspace<f32> = Workspace::new();
-    // Widened probabilities of the current batch, reused across batches so
-    // the f32 path's widen step does not allocate either.
-    let mut scored: Vec<f64> = Vec::new();
-    let mut jobs: Vec<(ScoreJob, Instant)> = Vec::new();
-    let (mut reported_hits, mut reported_misses) = (0u64, 0u64);
-    loop {
-        // Swaps apply only here, between batches: every row of any single
-        // batch is scored by exactly one model version.
-        while let Ok(Ctrl::Swap {
-            model: m,
-            version: v,
-            ack,
-        }) = ctrl.try_recv()
-        {
-            debug_assert_eq!(m.precision(), precision, "swap must keep the shard's width");
-            model = m;
-            version = v;
-            let _ = ack.send(());
-        }
-        // Wait briefly for the batch's first job, then re-poll control. A
-        // disconnect means every submitter is gone and the queue is empty —
-        // clean exit.
-        let first = match rx.recv_timeout(IDLE_POLL) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        depth.fetch_sub(1, Ordering::Relaxed);
-        metrics::queue_depth().add(-1.0);
-        stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let mut total_rows = first.rows;
-        jobs.push((first, Instant::now()));
-        // Linger, coalescing until the row budget or the deadline.
-        let deadline = Instant::now() + Duration::from_micros(cfg.max_wait_us);
-        while total_rows < cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    metrics::queue_depth().add(-1.0);
-                    stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                    total_rows += job.rows;
-                    jobs.push((job, Instant::now()));
-                }
-                Err(_) => break, // timeout or disconnect: score what we have
-            }
-        }
-
-        // One batched forward through the pooled buffers of the shard's
-        // precision. The f32 arm narrows features during batch assembly
-        // and widens probabilities right after the forward, so everything
-        // downstream (scatter, replies, `/score` rendering) stays f64.
-        let forward_started;
-        let forward_us;
-        scored.clear();
-        match &mut model {
-            ShardModel::F64(m) => {
-                let mut batch = ws64.take(total_rows, dim);
-                let mut offset = 0usize;
-                for (job, _) in &jobs {
-                    batch.data_mut()[offset..offset + job.features.len()]
-                        .copy_from_slice(&job.features);
-                    offset += job.features.len();
-                }
-                let mut probs = ws64.take(total_rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&batch, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend_from_slice(probs.data());
-                ws64.give(batch);
-                ws64.give(probs);
-            }
-            ShardModel::F32(m) => {
-                let mut batch = ws32.take(total_rows, dim);
-                let mut offset = 0usize;
-                for (job, _) in &jobs {
-                    let dst = &mut batch.data_mut()[offset..offset + job.features.len()];
-                    for (d, &s) in dst.iter_mut().zip(&job.features) {
-                        *d = s as f32;
-                    }
-                    offset += job.features.len();
-                }
-                let mut probs = ws32.take(total_rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&batch, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend(probs.data().iter().map(|&v| v as f64));
-                ws32.give(batch);
-                ws32.give(probs);
-            }
-        }
-        metrics::batches().add(1);
-        metrics::rows().add(total_rows as u64);
-        metrics::batch_rows().record(total_rows as f64);
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .last_batch_rows
-            .store(total_rows as u64, Ordering::Relaxed);
-        stats.last_batch_version.store(version, Ordering::Relaxed);
-        let (h64, m64) = ws64.stats();
-        let (h32, m32) = ws32.stats();
-        let (hits, misses) = (h64 + h32, m64 + m32);
-        metrics::pool_hits().add(hits - reported_hits);
-        metrics::pool_misses().add(misses - reported_misses);
-        (reported_hits, reported_misses) = (hits, misses);
-
-        // Scatter the rows back to their requesters.
-        let mut row0 = 0usize;
-        for (job, popped) in jobs.drain(..) {
-            let slice = scored[row0 * 3..(row0 + job.rows) * 3].to_vec();
-            row0 += job.rows;
-            metrics::latency_us().record(job.enqueued.elapsed().as_secs_f64() * 1e6);
-            let queue_us = us32(popped.duration_since(job.enqueued));
-            let assembly_us = us32(forward_started.duration_since(popped));
-            metrics::stage_queue_us().record(queue_us as f64);
-            metrics::stage_assembly_us().record(assembly_us as f64);
-            metrics::stage_forward_us().record(forward_us as f64);
-            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            // A vanished client (closed connection) is not an error.
-            let _ = job.reply.send(ScoreReply {
-                version,
-                probs: slice,
-                shard: shard_id,
-                batch_rows: total_rows.min(u32::MAX as usize) as u32,
-                queue_us,
-                assembly_us,
-                forward_us,
-                precision,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -765,63 +700,129 @@ mod tests {
     }
 
     #[test]
-    fn full_queues_shed_instead_of_blocking() {
-        // Per-shard queues of one job, no batching: two heavy requests park
-        // both shards in long forward passes (or sit queued ahead of the
-        // flood), so a burst of light submissions must fill both queues and
-        // shed rather than block. Every interleaving sheds by the eighth
-        // attempt: at most 2 heavies in hand + 2 queued + 2 replacements
-        // queued after a pop.
+    fn blocking_callers_beyond_capacity_shed_instead_of_waiting() {
+        // One shard whose lock the test holds: the first caller is admitted
+        // and waits for the lock; with a capacity of one, the next caller
+        // must shed at once rather than queue behind it.
         let dim = 2;
         let cfg = BatchConfig {
             queue_capacity: 1,
-            max_wait_us: 0,
             max_batch: 1,
         };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &cfg);
-        let heavy_rows = 100_000usize;
-        let heavy = vec![0.5f64; heavy_rows * dim];
-        let mut accepted = 0;
-        let mut shed = false;
+        let pool = ShardPool::new(tiny_model(dim), &[Precision::F64], &cfg);
+        let guard = pool.shards[0].lock();
+        let waiter = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.score(vec![0.0, 0.0], 1))
+        };
+        while pool.shard_snapshots()[0].depth < 1 {
+            std::thread::yield_now();
+        }
+        let shed_before = metrics::shed().get();
+        assert_eq!(
+            pool.score(vec![0.5, 0.5], 1).unwrap_err(),
+            SubmitError::Overloaded
+        );
+        assert!(metrics::shed().get() > shed_before);
+        drop(guard);
+        // The admitted caller is still answered once the shard frees up.
+        let reply = waiter.join().unwrap().expect("admitted job must be scored");
+        assert_eq!(reply.probs.len(), 3);
+        assert_eq!(pool.shard_snapshots()[0].depth, 0);
+    }
+
+    #[test]
+    fn a_tick_scores_in_forwards_of_at_most_max_batch_rows() {
+        // One tick's jobs, in arrival order: consecutive jobs share a
+        // forward while their rows fit in `max_batch`; an oversized job runs
+        // alone. Every row still scores bitwise like the in-process forward.
+        let dim = 3;
+        let cfg = BatchConfig {
+            max_batch: 6,
+            queue_capacity: 5,
+        };
+        let pool = ShardPool::new(tiny_model(dim), &[Precision::F64], &cfg);
+        let mut reference = tiny_model(dim);
+        let mut rng = Rng::seed_from_u64(33);
+        let sizes = [3usize, 3, 3, 10, 1];
+        let mut jobs = Vec::new();
+        for &rows in &sizes {
+            pool.admit(0).unwrap();
+            jobs.push(Job {
+                features: Matrix::randn(rows, dim, 1.0, &mut rng).data().to_vec(),
+                rows,
+                enqueued: Instant::now(),
+            });
+        }
+        // The tick is full: a sixth job is shed.
+        assert_eq!(pool.admit(0), Err(SubmitError::Overloaded));
+        assert_eq!(pool.shard_snapshots()[0].depth, 5);
         let mut replies = Vec::new();
-        for i in 0..16 {
-            let result = if i < 2 {
-                pool.submit(heavy.clone(), heavy_rows)
-            } else {
-                pool.submit(vec![0.0, 0.0], 1)
-            };
-            match result {
-                Ok(r) => {
-                    accepted += 1;
-                    replies.push(r);
-                }
-                Err(SubmitError::Overloaded) => {
-                    shed = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected submit error {e:?}"),
+        pool.score_jobs(0, &jobs, &mut replies);
+        assert_eq!(pool.shard_snapshots()[0].depth, 0);
+        let batch_rows: Vec<u32> = replies.iter().map(|r| r.batch_rows).collect();
+        assert_eq!(batch_rows, vec![6, 6, 3, 10, 1]);
+        assert_eq!(pool.shard_snapshots()[0].batches, 4);
+        for (job, reply) in jobs.iter().zip(&replies) {
+            let mut expect = Matrix::zeros(0, 0);
+            reference.probs3_into(
+                &Matrix::from_vec(job.rows, dim, job.features.clone()),
+                &mut expect,
+            );
+            assert_eq!(reply.probs.len(), job.rows * 3);
+            for (a, b) in expect.data().iter().zip(&reply.probs) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        assert!(
-            shed,
-            "pool never shed after {accepted} accepted submissions"
-        );
-        assert!(accepted >= 2, "the two heavy submissions must be accepted");
-        // Every accepted job is still answered.
-        for r in replies {
-            assert!(r.recv().is_ok());
+    }
+
+    #[test]
+    fn serving_sized_forwards_identical_across_thread_counts() {
+        // Serving forwards sit below the GEMM grain and run on the calling
+        // thread; the scores must not depend on the thread cap.
+        use gale_tensor::par::with_threads;
+        let dim = 8;
+        let mut rng = Rng::seed_from_u64(35);
+        for rows in [4usize, 64] {
+            let x = Matrix::randn(rows, dim, 1.0, &mut rng);
+            let run = |threads: usize| {
+                with_threads(threads, || {
+                    let pool = ShardPool::new(tiny_model(dim), &[], &BatchConfig::default());
+                    let reply = pool.score(x.data().to_vec(), rows).unwrap();
+                    reply
+                        .probs
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .collect::<Vec<u64>>()
+                })
+            };
+            let baseline = run(1);
+            for threads in [1, 2, 8] {
+                assert_eq!(run(threads), baseline, "{rows} rows, {threads} threads");
+            }
         }
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
+    }
+
+    #[test]
+    fn a_panic_under_the_shard_lock_does_not_wedge_the_shard() {
+        let dim = 3;
+        let pool = ShardPool::new(tiny_model(dim), &[], &BatchConfig::default());
+        let poisoner = pool.clone();
+        let _ = std::thread::spawn(move || {
+            let _replica = poisoner.shards[0].lock();
+            panic!("simulated failure while holding the shard");
+        })
+        .join();
+        assert!(pool.shards[0].replica.is_poisoned());
+        let reply = pool.score(vec![0.1, 0.2, 0.3], 1).unwrap();
+        assert_eq!(reply.probs.len(), 3);
     }
 
     #[test]
     fn scored_rows_match_in_process_model_bitwise_across_shards() {
         let dim = 5;
         let cfg = BatchConfig::default();
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 3, &cfg);
+        let pool = ShardPool::new(tiny_model(dim), &[Precision::F64; 3], &cfg);
 
         let mut rng = Rng::seed_from_u64(32);
         let x = Matrix::randn(7, dim, 1.0, &mut rng);
@@ -840,44 +841,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn drain_answers_every_queued_job_on_every_shard() {
-        let dim = 3;
-        let cfg = BatchConfig {
-            max_batch: 4,
-            max_wait_us: 500,
-            queue_capacity: 64,
-        };
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 4, &cfg);
-        let mut rng = Rng::seed_from_u64(33);
-        let replies: Vec<_> = (0..40)
-            .map(|_| {
-                let row: Vec<f64> = (0..dim).map(|_| rng.gauss()).collect();
-                pool.submit(row, 1).unwrap()
-            })
-            .collect();
-        // Drop the pool with jobs still queued: every shard must answer its
-        // whole queue before exiting.
-        drop(pool);
-        for reply in replies {
-            let scored = reply.recv().expect("drained job must be answered");
-            assert_eq!(scored.probs.len(), 3);
-            let total: f64 = scored.probs.iter().sum();
-            assert!(
-                (total - 1.0).abs() < 1e-9,
-                "not a distribution: {:?}",
-                scored.probs
-            );
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     #[test]
@@ -888,7 +851,7 @@ mod tests {
         // stay bitwise-exact, f32 replies must agree on every verdict and
         // track the probabilities within single-precision tolerance.
         let dim = 5;
-        let (pool, handles) = ShardPool::spawn_with_precisions(
+        let pool = ShardPool::new(
             tiny_model(dim),
             &[Precision::F64, Precision::F32],
             &BatchConfig::default(),
@@ -932,10 +895,6 @@ mod tests {
             seen64 && seen32,
             "both precisions must score (f64 {seen64}, f32 {seen32})"
         );
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     #[test]
@@ -944,7 +903,7 @@ mod tests {
         // bit-exact replica and the f32 shard a lowering of the *new*
         // checkpoint — both at the bumped version.
         let dim = 4;
-        let (pool, handles) = ShardPool::spawn_with_precisions(
+        let pool = ShardPool::new(
             tiny_model(dim),
             &[Precision::F64, Precision::F32],
             &BatchConfig::default(),
@@ -991,17 +950,17 @@ mod tests {
             }
         }
         assert!(seen64 && seen32, "both precisions must score after reload");
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn reload_swaps_every_shard_and_bumps_the_version() {
         let dim = 4;
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
+        let pool = ShardPool::new(
+            tiny_model(dim),
+            &[Precision::F64; 2],
+            &BatchConfig::default(),
+        );
         let mut rng = Rng::seed_from_u64(55);
         let mut next = Sgan::new(
             dim,
@@ -1030,17 +989,17 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
-        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn failed_reload_leaves_the_old_model_serving() {
         let dim = 3;
-        let (pool, handles) = ShardPool::spawn(tiny_model(dim), 2, &BatchConfig::default());
+        let pool = ShardPool::new(
+            tiny_model(dim),
+            &[Precision::F64; 2],
+            &BatchConfig::default(),
+        );
         let mut reference = tiny_model(dim);
         let x = Matrix::randn(4, dim, 1.0, &mut Rng::seed_from_u64(7));
         let mut expect = Matrix::zeros(0, 0);
@@ -1076,10 +1035,6 @@ mod tests {
         assert_eq!(got.version, INITIAL_VERSION);
         for (a, b) in expect.data().iter().zip(&got.probs) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-        drop(pool);
-        for h in handles {
-            h.join().unwrap();
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -7,11 +7,10 @@
 //!   the serving path can be exercised without a full pipeline run.
 //! - `gale-serve serve --ckpt model.ckpt [--addr HOST:PORT] [--shards N]
 //!   [--precision f64|f32[,per-shard list]] [--mode evloop|blocking]
-//!   [--max-batch N] [--max-wait-us U]
-//!   [--queue-capacity N]` — loads the checkpoint and serves `/score`,
-//!   `/healthz`, `/metrics`, `/admin/reload`, and the `/debug/{trace,
-//!   slow,queues}` introspection endpoints until `POST /admin/shutdown`
-//!   drains it. `--trace off` switches request tracing off;
+//!   [--max-batch N] [--queue-capacity N]` — loads the checkpoint and
+//!   serves `/score`, `/healthz`, `/metrics`, `/admin/reload`, and the
+//!   `/debug/{trace,slow,queues}` introspection endpoints until
+//!   `POST /admin/shutdown` drains it. `--trace off` switches request tracing off;
 //!   `--trace-sample`/`--trace-slow-us` tune the sampling policy.
 //! - `gale-serve reload --addr HOST:PORT --ckpt PATH` — asks a running
 //!   server to hot-swap to a new checkpoint and reports the new model
@@ -55,8 +54,7 @@ USAGE:
   gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]
   gale-serve serve --ckpt PATH [--addr HOST:PORT] [--shards N]
                    [--precision f64|f32[,f32,..]] [--mode evloop|blocking]
-                   [--max-batch N]
-                   [--max-wait-us U] [--queue-capacity N]
+                   [--max-batch N] [--queue-capacity N]
                    [--retry-after-secs S] [--keep-alive-secs S]
                    [--trace on|off] [--trace-sample N] [--trace-slow-us U]
                    [--stream DIR]
@@ -66,6 +64,12 @@ USAGE:
 and writes a stream bundle; `serve --stream DIR` boots that bundle so
 `POST /mutate`, node-mode `POST /score` ({\"nodes\": [...]}), and
 `GET /debug/stream` come alive alongside the shard-pool endpoints.
+
+`serve` runs one event loop per shard (`--shards N`); each loop scores the
+requests it read in one tick on its own replica, in forwards of at most
+`--max-batch` rows, without waiting for more to arrive. Requests beyond
+`--queue-capacity` in one tick are shed with 503 + Retry-After.
+`--mode blocking` serves one request per connection thread instead.
 ";
 
 /// Pulls `--flag value` pairs out of `args`; rejects unknown flags.
@@ -261,7 +265,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--precision",
             "--mode",
             "--max-batch",
-            "--max-wait-us",
             "--queue-capacity",
             "--retry-after-secs",
             "--keep-alive-secs",
@@ -305,7 +308,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             .to_string(),
         batch: BatchConfig {
             max_batch: parse_num(&flags, "--max-batch", BatchConfig::default().max_batch)?,
-            max_wait_us: parse_num(&flags, "--max-wait-us", BatchConfig::default().max_wait_us)?,
             queue_capacity: parse_num(
                 &flags,
                 "--queue-capacity",

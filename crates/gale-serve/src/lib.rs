@@ -33,23 +33,28 @@
 //! default (`--trace off` disables it); its overhead against a
 //! tracing-off server is gated in CI at a few percent of p99.
 //!
-//! The default front end is a hand-rolled non-blocking event loop (one
-//! thread, keep-alive + pipelined connections); `--mode blocking` keeps
-//! the thread-per-connection baseline. Requests are coalesced per shard by
-//! the [`batcher`] into single forward passes; bounded queues shed excess
-//! load with `503` + `Retry-After`.
+//! The default front end is one hand-rolled non-blocking event loop per
+//! shard (keep-alive + pipelined connections), and each loop scores its
+//! own tick's requests on its own replica: there is no hand-off to another
+//! thread, no batching linger, and no poll tick on the `/score` path.
+//! `--mode blocking` keeps a thread-per-connection front end. Jobs beyond
+//! a shard's queue capacity are shed with `503` + `Retry-After`.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `poll` (the `poll(2)` wrapper the event
+// loops wait in) carries a scoped allowance for its one audited unsafe
+// call, mirroring gale-graph's `mmap(2)` shim; everything else stays safe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batcher;
 pub mod http;
 pub mod metrics;
+pub mod poll;
 pub mod server;
 pub mod stream;
 
 pub use batcher::{
-    BatchConfig, Precision, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError,
+    BatchConfig, Job, Precision, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError,
     INITIAL_VERSION,
 };
 pub use server::{serve, serve_with_stream, ServeConfig, ServeMode, ServerHandle};

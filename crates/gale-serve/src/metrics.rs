@@ -2,48 +2,72 @@
 //!
 //! Handles here are fetched with *direct* registry calls, not the
 //! `enabled()`-gated macros: `/metrics` must report live numbers whether or
-//! not trace telemetry is switched on. The handles are `&'static`, so the
-//! hot path is a relaxed atomic op with no lock.
+//! not trace telemetry is switched on. Each handle is looked up in the
+//! registry once and cached in a static (a lookup hashes the name under a
+//! lock, and a scored request touches about twenty series), so the hot
+//! path is a relaxed atomic op with no lock.
 
+use gale_obs::metrics::buckets::TIME_US;
 use gale_obs::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 use std::sync::{Mutex, OnceLock};
+
+/// The registry handle `$make` returns, looked up once per call site.
+macro_rules! cached {
+    ($kind:ty, $make:expr) => {{
+        static HANDLE: OnceLock<&'static $kind> = OnceLock::new();
+        *HANDLE.get_or_init(|| $make)
+    }};
+}
 
 /// Batch-size buckets: powers of two up to a generous batch cap.
 pub const BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
-/// `/score` requests accepted into a shard queue or shed.
+/// Feature `/score` jobs admitted to a shard or shed.
 pub fn requests() -> &'static Counter {
-    counter("serve.requests")
+    cached!(Counter, counter("serve.requests"))
 }
 
-/// Requests rejected with `503` because every shard queue was full.
+/// Requests rejected with `503` because their shard's queue was full.
 pub fn shed() -> &'static Counter {
-    counter("serve.shed")
+    cached!(Counter, counter("serve.shed"))
+}
+
+/// Requests whose handler panicked; each was answered `500` and the
+/// serving thread carried on.
+pub fn handler_panics() -> &'static Counter {
+    cached!(Counter, counter("serve.handler_panics"))
+}
+
+/// Scored rows with a non-finite probability, across both score paths;
+/// their requests were answered `500` instead of a verdict.
+pub fn nonfinite_scores() -> &'static Counter {
+    cached!(Counter, counter("serve.nonfinite_scores"))
 }
 
 /// Batched forward passes executed (across all shards).
 pub fn batches() -> &'static Counter {
-    counter("serve.batches")
+    cached!(Counter, counter("serve.batches"))
 }
 
 /// Feature rows scored (across all shards and batches).
 pub fn rows() -> &'static Counter {
-    counter("serve.rows")
+    cached!(Counter, counter("serve.rows"))
 }
 
-/// Jobs currently waiting across every shard queue.
+/// Jobs admitted to a shard and not yet picked into a forward, across
+/// every shard.
 pub fn queue_depth() -> &'static Gauge {
-    gauge("serve.queue_depth")
+    cached!(Gauge, gauge("serve.queue_depth"))
 }
 
-/// Open client connections held by the event loop.
+/// Open client connections held by the event loops.
 pub fn connections() -> &'static Gauge {
-    gauge("serve.connections")
+    cached!(Gauge, gauge("serve.connections"))
 }
 
 /// Model generation currently serving (1 at boot, +1 per reload).
 pub fn model_version() -> &'static Gauge {
-    gauge("serve.model_version")
+    cached!(Gauge, gauge("serve.model_version"))
 }
 
 /// Info gauge: the arithmetic width shard `shard` scores at, as its bit
@@ -55,13 +79,13 @@ pub fn shard_precision(shard: usize) -> &'static Gauge {
 
 /// Successful `POST /admin/reload` checkpoint swaps.
 pub fn reloads() -> &'static Counter {
-    counter("serve.reloads")
+    cached!(Counter, counter("serve.reloads"))
 }
 
 /// Rejected reload attempts (unreadable, corrupt, wrong-version, or
 /// dimension-mismatched checkpoints). The old model kept serving.
 pub fn reload_failures() -> &'static Counter {
-    counter("serve.reload_failures")
+    cached!(Counter, counter("serve.reload_failures"))
 }
 
 /// Scorer buffer-pool hits (batches served without allocating), summed
@@ -69,117 +93,108 @@ pub fn reload_failures() -> &'static Counter {
 /// allocation-free steady-state contract is visible in `/metrics` even
 /// with trace telemetry off: hits keep growing while misses plateau.
 pub fn pool_hits() -> &'static Counter {
-    counter("serve.pool_hits")
+    cached!(Counter, counter("serve.pool_hits"))
 }
 
 /// Scorer buffer-pool misses (batches that had to allocate), summed
 /// across shards.
 pub fn pool_misses() -> &'static Counter {
-    counter("serve.pool_misses")
+    cached!(Counter, counter("serve.pool_misses"))
 }
 
 /// Rows per executed batch.
 pub fn batch_rows(/* first call fixes the buckets */) -> &'static Histogram {
-    histogram("serve.batch_rows", BATCH_BUCKETS)
+    cached!(Histogram, histogram("serve.batch_rows", BATCH_BUCKETS))
 }
 
-/// Per-request latency from enqueue to reply, microseconds.
+/// Per-job latency from admission to scored reply, microseconds.
 pub fn latency_us() -> &'static Histogram {
-    histogram("serve.latency_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.latency_us", TIME_US))
 }
 
 /// Reading a request off the socket, microseconds.
 pub fn stage_read_us() -> &'static Histogram {
-    histogram("serve.stage_read_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.stage_read_us", TIME_US))
 }
 
 /// HTTP head + feature-JSON parsing, microseconds.
 pub fn stage_parse_us() -> &'static Histogram {
-    histogram("serve.stage_parse_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.stage_parse_us", TIME_US))
 }
 
-/// Shard selection and queue hand-off, microseconds.
+/// Admission to the shard's tick batch, microseconds.
 pub fn stage_dispatch_us() -> &'static Histogram {
-    histogram(
-        "serve.stage_dispatch_us",
-        gale_obs::metrics::buckets::TIME_US,
-    )
+    cached!(Histogram, histogram("serve.stage_dispatch_us", TIME_US))
 }
 
-/// Time a job sat in its shard queue before being popped, microseconds.
+/// Admitted until the job's batch took the shard, microseconds.
 pub fn stage_queue_us() -> &'static Histogram {
-    histogram("serve.stage_queue_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.stage_queue_us", TIME_US))
 }
 
-/// Popped until the batched forward started (linger + buffer fill),
+/// Batch assembly (copying rows into the forward's input buffer),
 /// microseconds.
 pub fn stage_assembly_us() -> &'static Histogram {
-    histogram(
-        "serve.stage_assembly_us",
-        gale_obs::metrics::buckets::TIME_US,
-    )
+    cached!(Histogram, histogram("serve.stage_assembly_us", TIME_US))
 }
 
 /// The batched forward pass, microseconds (recorded once per job; jobs in
 /// one batch share the value).
 pub fn stage_forward_us() -> &'static Histogram {
-    histogram(
-        "serve.stage_forward_us",
-        gale_obs::metrics::buckets::TIME_US,
-    )
+    cached!(Histogram, histogram("serve.stage_forward_us", TIME_US))
 }
 
 /// Response rendered until fully flushed to the socket, microseconds.
 pub fn stage_write_us() -> &'static Histogram {
-    histogram("serve.stage_write_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.stage_write_us", TIME_US))
 }
 
 /// Whole-request wall clock (first byte read to last byte written),
-/// microseconds. The event-loop counterpart of [`latency_us`], which only
-/// covers enqueue-to-reply inside the shard.
+/// microseconds. The connection-side counterpart of [`latency_us`], which
+/// only covers admission to scored reply.
 pub fn request_us() -> &'static Histogram {
-    histogram("serve.request_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("serve.request_us", TIME_US))
 }
 
 /// Mutations accepted through `POST /mutate` (admitted or quarantined).
 pub fn stream_mutations() -> &'static Counter {
-    counter("stream.mutations")
+    cached!(Counter, counter("stream.mutations"))
 }
 
 /// Nodes currently awaiting an incremental verdict refresh.
 pub fn stream_dirty_nodes() -> &'static Gauge {
-    gauge("stream.dirty_nodes")
+    cached!(Gauge, gauge("stream.dirty_nodes"))
 }
 
 /// Current stream graph version (one bump per applied mutation).
 pub fn stream_graph_version() -> &'static Gauge {
-    gauge("stream.graph_version")
+    cached!(Gauge, gauge("stream.graph_version"))
 }
 
 /// Delta-overlay compactions folded back into a fresh CSR base.
 pub fn stream_compactions() -> &'static Gauge {
-    gauge("stream.compactions")
+    cached!(Gauge, gauge("stream.compactions"))
 }
 
 /// Edges rejected by the structure-aware admission filter.
 pub fn stream_quarantined() -> &'static Gauge {
-    gauge("stream.quarantined_edges")
+    cached!(Gauge, gauge("stream.quarantined_edges"))
 }
 
 /// Incremental verdict refreshes run (each covers one dirty batch).
 pub fn stream_refreshes() -> &'static Counter {
-    counter("stream.refreshes")
+    cached!(Counter, counter("stream.refreshes"))
 }
 
 /// Incremental refresh latency, microseconds per refresh.
 pub fn stream_refresh_us() -> &'static Histogram {
-    histogram("stream.refresh_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("stream.refresh_us", TIME_US))
 }
 
 /// `/mutate` handling latency (parse + apply + dirty marking),
 /// microseconds.
 pub fn stream_mutate_us() -> &'static Histogram {
-    histogram("stream.mutate_us", gale_obs::metrics::buckets::TIME_US)
+    cached!(Histogram, histogram("stream.mutate_us", TIME_US))
 }
 
 /// The score-distribution and verdict-mix series of one model generation.
@@ -223,6 +238,8 @@ pub fn version_series(version: u64) -> VersionSeries {
 pub fn register_all() {
     requests();
     shed();
+    handler_panics();
+    nonfinite_scores();
     batches();
     rows();
     queue_depth();

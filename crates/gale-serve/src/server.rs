@@ -3,29 +3,43 @@
 //!
 //! Two connection modes share the shard pool and the endpoint logic:
 //!
-//! * [`ServeMode::EventLoop`] (default) — a single non-blocking thread owns
-//!   the listener and every client socket, hand-rolled poll-style readiness
-//!   over std `TcpStream`s (no mio/tokio, like the rest of the stack).
-//!   Connections are keep-alive and may pipeline requests; responses always
-//!   come back in request order. Scoring replies and reload completions are
-//!   polled without blocking, so thousands of idle connections cost one
-//!   thread.
-//! * [`ServeMode::Blocking`] — the PR-5 architecture, kept as the serving
-//!   baseline `gale-loadgen` benchmarks against: a blocking accept loop
-//!   spawning a short-lived thread per connection, one request per
-//!   connection, `Connection: close`.
+//! * [`ServeMode::EventLoop`] (default) — every shard is an event-loop
+//!   thread that owns its replica. `--shards N` runs N loops polling the
+//!   one shared listener; accepted connections are dealt round-robin
+//!   across the loops, and each loop owns its connections from then on as
+//!   nonblocking std `TcpStream`s (no mio/tokio, like the rest of the
+//!   stack). Connections are keep-alive and may pipeline requests;
+//!   responses always leave in request order. Each tick a loop blocks in
+//!   `poll(2)` until a socket or its waker is ready, then
+//!   1. reads and parses every ready connection,
+//!   2. scores that tick's feature jobs on its own thread, in forwards of
+//!      at most `max_batch` rows (jobs beyond `queue_capacity` in one tick
+//!      answer `503` + `Retry-After`), and
+//!   3. renders and writes the replies.
 //!
-//! All scoring funnels through the [`ShardPool`]; `POST /admin/reload`
-//! loads a new checkpoint *off* the event loop (a worker thread does the
-//! file IO and validation) and swaps it into every shard between batches.
-//! Shutdown — [`ServerHandle::shutdown`] or `POST /admin/shutdown` — stops
-//! accepting, answers everything already received, and only then lets the
-//! shards drain and exit, so no accepted request goes unanswered no matter
-//! how many shards are racing the listener close.
+//!   There is no linger and no poll tick: a loop sleeps in the kernel
+//!   until there is work, and scores exactly what arrived.
+//! * [`ServeMode::Blocking`] — a blocking accept loop spawning a
+//!   short-lived thread per connection, one request per connection,
+//!   `Connection: close`. Each connection thread takes a shard's lock and
+//!   scores on its own thread.
+//!
+//! `POST /admin/reload` loads a new checkpoint *off* the loops (a worker
+//! thread does the file IO and validation), swaps it into every shard under
+//! that shard's lock, then wakes the requesting loop to answer. Every
+//! request is handled under `catch_unwind`: a panicking handler answers
+//! `500` and counts into `serve_handler_panics`, and the loop keeps
+//! serving. Shutdown — [`ServerHandle::shutdown`] or
+//! `POST /admin/shutdown` — wakes every loop, which stops accepting,
+//! answers everything already received, and exits once its connections
+//! are flushed.
 
-use crate::batcher::{BatchConfig, Precision, ReloadError, ScoreReply, ShardPool, SubmitError};
+use crate::batcher::{
+    BatchConfig, Job, Precision, ReloadError, ScoreReply, ShardPool, SubmitError,
+};
 use crate::http::{self, HttpError, Request};
 use crate::metrics;
+use crate::poll::{fd_of, Poller, Waker};
 use crate::stream::StreamState;
 use gale_core::Sgan;
 use gale_json::{json, Value};
@@ -34,16 +48,18 @@ use gale_obs::ring::{self, TracePolicy, WideEvent};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Connection-handling architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Non-blocking event loop, keep-alive + pipelined HTTP/1.1.
+    /// One non-blocking event loop per shard, keep-alive + pipelined
+    /// HTTP/1.1.
     EventLoop,
     /// Blocking thread-per-connection, one request per connection.
     Blocking,
@@ -54,12 +70,13 @@ pub enum ServeMode {
 pub struct ServeConfig {
     /// Bind address; use port `0` to let the OS pick one.
     pub addr: String,
-    /// Micro-batching knobs (per shard).
+    /// Batching knobs (per shard).
     pub batch: BatchConfig,
     /// Value of the `Retry-After` header on shed (`503`) responses,
     /// seconds.
     pub retry_after_secs: u32,
-    /// Scorer shards, each owning a bit-exact model replica.
+    /// Scorer shards, each owning a bit-exact model replica (and, in
+    /// event-loop mode, the loop thread that scores on it).
     pub shards: usize,
     /// Per-shard serving precision. Empty runs every shard at `f64` (the
     /// bit-exact default); one entry broadcasts to every shard; otherwise
@@ -102,12 +119,29 @@ impl Default for ServeConfig {
 /// Shared request-handling context.
 struct Ctx {
     pool: Arc<ShardPool>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     retry_after: String,
     mode: ServeMode,
     started: Instant,
     /// Streaming engine, present when the server booted with a bundle.
     stream: Option<StreamState>,
+    /// One waker per serving thread that waits in `poll(2)`: each event
+    /// loop, or the blocking accept loop.
+    wakers: Vec<Arc<Waker>>,
+    /// Connections accepted by one loop on behalf of another, per loop.
+    inboxes: Vec<Mutex<Vec<TcpStream>>>,
+    /// Round-robin counter dealing accepted connections to loops.
+    next_conn: AtomicUsize,
+}
+
+impl Ctx {
+    /// Starts the graceful drain and wakes every waiting thread to notice.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for waker in &self.wakers {
+            waker.wake();
+        }
+    }
 }
 
 /// A running server. Dropping the handle without calling
@@ -115,7 +149,7 @@ struct Ctx {
 /// but does not wait for the drain.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    ctx: Arc<Ctx>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -128,7 +162,7 @@ impl ServerHandle {
     /// Initiates a graceful shutdown and blocks until every accepted
     /// request has been answered and all threads have exited.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.stop();
         self.join_threads();
     }
 
@@ -147,7 +181,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.stop();
     }
 }
 
@@ -160,7 +194,7 @@ pub fn serve(model: Sgan, cfg: &ServeConfig) -> std::io::Result<ServerHandle> {
 /// Boots the server with an optional streaming engine attached. With an
 /// engine, `POST /mutate`, node-mode `POST /score` (`{"nodes": [...]}`
 /// bodies), and `GET /debug/stream` come alive; feature-body `/score`
-/// requests keep the shard-pool path either way.
+/// requests keep the shard path either way.
 pub fn serve_with_stream(
     model: Sgan,
     cfg: &ServeConfig,
@@ -169,7 +203,6 @@ pub fn serve_with_stream(
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
     ring::configure(
         cfg.trace,
         TracePolicy {
@@ -190,31 +223,45 @@ pub fn serve_with_stream(
             ))
         }
     };
-    let (pool, shard_threads) = ShardPool::spawn_with_precisions(model, &precisions, &cfg.batch);
+    let loops = match cfg.mode {
+        ServeMode::EventLoop => shards,
+        ServeMode::Blocking => 1,
+    };
     let ctx = Arc::new(Ctx {
-        pool,
-        shutdown: shutdown.clone(),
+        pool: ShardPool::new(model, &precisions, &cfg.batch),
+        shutdown: AtomicBool::new(false),
         retry_after: cfg.retry_after_secs.to_string(),
         mode: cfg.mode,
         started: Instant::now(),
         stream: stream.map(StreamState::new),
+        wakers: (0..loops)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<std::io::Result<_>>()?,
+        inboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
+        next_conn: AtomicUsize::new(0),
     });
 
-    let mut threads = Vec::with_capacity(shard_threads.len() + 1);
-    let front = {
-        let shutdown = shutdown.clone();
-        let keep_alive = Duration::from_secs(cfg.keep_alive_secs.max(1));
-        match cfg.mode {
+    let listener = Arc::new(listener);
+    let keep_alive = Duration::from_secs(cfg.keep_alive_secs.max(1));
+    let mut threads = Vec::with_capacity(loops);
+    for shard in 0..loops {
+        let (loop_ctx, listener) = (ctx.clone(), listener.clone());
+        let spawned = match cfg.mode {
             ServeMode::EventLoop => std::thread::Builder::new()
-                .name("gale-serve-loop".into())
-                .spawn(move || event_loop(listener, ctx, shutdown, keep_alive))?,
+                .name(format!("gale-serve-{shard}"))
+                .spawn(move || EventLoop::new(shard, listener, loop_ctx, keep_alive).run()),
             ServeMode::Blocking => std::thread::Builder::new()
                 .name("gale-serve-accept".into())
-                .spawn(move || blocking_accept_loop(listener, ctx, shutdown))?,
+                .spawn(move || blocking_accept_loop(&listener, loop_ctx)),
+        };
+        match spawned {
+            Ok(handle) => threads.push(handle),
+            Err(e) => {
+                ctx.stop();
+                return Err(e);
+            }
         }
-    };
-    threads.push(front);
-    threads.extend(shard_threads);
+    }
     gale_obs::info!(
         "gale-serve listening on http://{addr} ({} shard{} [{}], {:?} mode)",
         precisions.len(),
@@ -226,11 +273,7 @@ pub fn serve_with_stream(
             .join(","),
         cfg.mode
     );
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        threads,
-    })
+    Ok(ServerHandle { addr, ctx, threads })
 }
 
 // ---------------------------------------------------------------------------
@@ -260,14 +303,19 @@ struct ReqTiming {
 struct TraceState {
     ev: WideEvent,
     started: Instant,
+    /// The end of the last stage stamped so far — parsing, until the
+    /// response starts rendering, which opens `write_us` — so each stage
+    /// costs one clock read.
+    mark: Instant,
 }
 
 /// Completes a wide event once its response has fully left the socket:
 /// stamps write/total timings, feeds the always-live stage histograms,
 /// and offers the record to the trace rings.
-fn finish_trace(mut state: TraceState, write_started: Instant) {
-    state.ev.write_us = us32(write_started.elapsed());
-    state.ev.total_us = state.started.elapsed().as_micros() as u64;
+fn finish_trace(mut state: TraceState) {
+    let now = Instant::now();
+    state.ev.write_us = us32(now.duration_since(state.mark));
+    state.ev.total_us = now.duration_since(state.started).as_micros() as u64;
     metrics::stage_read_us().record(state.ev.read_us as f64);
     metrics::stage_parse_us().record(state.ev.parse_us as f64);
     metrics::stage_dispatch_us().record(state.ev.dispatch_us as f64);
@@ -276,42 +324,31 @@ fn finish_trace(mut state: TraceState, write_started: Instant) {
     ring::offer(state.ev);
 }
 
-/// Copies a scored reply's shard-side placement and timings into the wide
-/// event.
-fn fill_scored(trace: &mut Option<Box<TraceState>>, scored: &ScoreReply) {
-    if let Some(state) = trace {
-        state.ev.status = 200;
-        state.ev.shard = scored.shard;
-        state.ev.model_version = scored.version;
-        state.ev.precision_bits = scored.precision.bits();
-        state.ev.batch_rows = scored.batch_rows;
-        state.ev.queue_us = scored.queue_us;
-        state.ev.assembly_us = scored.assembly_us;
-        state.ev.forward_us = scored.forward_us;
-    }
-}
-
-/// Stamps a terminal status into the wide event (no-op when untraced).
+/// Stamps a terminal status into the wide event and starts its write
+/// stage: the response is about to be rendered (no-op when untraced).
 fn set_status(trace: &mut Option<Box<TraceState>>, status: u16) {
     if let Some(state) = trace {
         state.ev.status = status;
+        state.mark = Instant::now();
     }
 }
 
-/// What handling a request produced: either a finished response or a
-/// reply-pending operation the event loop polls to completion.
+/// A parsed feature `/score` request waiting for its forward pass.
+struct ScoreMeta {
+    rows: usize,
+    keep_alive: bool,
+    request_id: u64,
+    trace: Option<Box<TraceState>>,
+}
+
+/// What handling a request produced.
 enum Outcome {
     /// Rendered response, ready to send; `/score` responses carry their
     /// wide event so write time can still be attributed.
     Ready(Vec<u8>, Option<Box<TraceState>>),
-    /// A scoring job is in flight on some shard.
-    Score {
-        reply: Receiver<ScoreReply>,
-        rows: usize,
-        keep_alive: bool,
-        request_id: u64,
-        trace: Option<Box<TraceState>>,
-    },
+    /// A parsed feature `/score` job; the connection layer admits it to a
+    /// shard, scores it, and renders the reply with [`render_scored`].
+    Score { features: Vec<f64>, meta: ScoreMeta },
     /// A reload worker thread is loading and validating a checkpoint.
     Reload {
         done: Receiver<Result<u64, ReloadError>>,
@@ -319,12 +356,43 @@ enum Outcome {
     },
 }
 
-fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Outcome {
+/// Runs one request's handling with panic isolation: a panic anywhere
+/// inside answers `500`, counts into `serve_handler_panics`, and leaves
+/// the calling thread (possibly the only event loop) serving.
+fn isolate<T>(keep_alive: bool, handle: impl FnOnce() -> T) -> Result<T, Vec<u8>> {
+    catch_unwind(AssertUnwindSafe(handle)).map_err(|_| {
+        metrics::handler_panics().add(1);
+        internal_error(
+            "internal error while handling the request",
+            None,
+            keep_alive,
+        )
+    })
+}
+
+/// A `500` response carrying `msg`, plus the request id when the request
+/// had one.
+fn internal_error(msg: &str, request_id: Option<u64>, keep_alive: bool) -> Vec<u8> {
+    let mut body = json!({"error": msg});
+    if let (Some(id), Value::Object(map)) = (request_id, &mut body) {
+        map.insert("request_id", Value::from(id));
+    }
+    http::render_json(500, "Internal Server Error", &[], &body, keep_alive)
+}
+
+/// Routes one request. `waker` belongs to the event loop handling it (if
+/// any), so work finished on another thread can wake that loop.
+fn handle_request(
+    request: &Request,
+    ctx: &Ctx,
+    timing: Option<ReqTiming>,
+    waker: Option<&Arc<Waker>>,
+) -> Outcome {
     let ka = request.keep_alive;
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/score") => match &ctx.stream {
             // Node-mode scoring goes to the streaming engine; feature
-            // bodies stay on the shard-pool hot path.
+            // bodies stay on the shard path.
             Some(stream) if StreamState::is_node_request(&request.body) => {
                 Outcome::Ready(stream.score_nodes(&request.body, ka), None)
             }
@@ -468,10 +536,10 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
                 None,
             )
         }
-        ("POST", "/admin/reload") => reload_request(request, ctx),
+        ("POST", "/admin/reload") => reload_request(request, ctx, waker),
         ("POST", "/admin/shutdown") => {
             let ack = http::render_json(200, "OK", &[], &json!({"status": "draining"}), ka);
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.stop();
             Outcome::Ready(ack, None)
         }
         (
@@ -501,6 +569,8 @@ fn handle_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Ou
     }
 }
 
+/// Parses a feature `/score` body into a job for the connection layer to
+/// admit and score, or answers `400`.
 fn score_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Outcome {
     let ka = request.keep_alive;
     let request_id = ring::next_request_id();
@@ -508,21 +578,36 @@ fn score_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Out
     let _scope = gale_obs::span::request_scope(request_id);
     let parsed = parse_features(&request.body, ctx.pool.input_dim());
     let mut trace = timing.map(|t| {
+        let parsed = Instant::now();
         Box::new(TraceState {
             started: t.started,
+            mark: parsed,
             ev: WideEvent {
                 request_id,
                 read_us: t.read_us,
-                parse_us: us32(t.parse_started.elapsed()),
+                parse_us: us32(parsed.duration_since(t.parse_started)),
                 ..Default::default()
             },
         })
     });
-    let (features, rows) = match parsed {
-        Ok(parsed) => parsed,
+    match parsed {
+        Ok((features, rows)) => {
+            if let Some(state) = &mut trace {
+                state.ev.rows = rows.min(u32::MAX as usize) as u32;
+            }
+            Outcome::Score {
+                features,
+                meta: ScoreMeta {
+                    rows,
+                    keep_alive: ka,
+                    request_id,
+                    trace,
+                },
+            }
+        }
         Err(msg) => {
             set_status(&mut trace, 400);
-            return Outcome::Ready(
+            Outcome::Ready(
                 http::render_json(
                     400,
                     "Bad Request",
@@ -531,58 +616,77 @@ fn score_request(request: &Request, ctx: &Ctx, timing: Option<ReqTiming>) -> Out
                     ka,
                 ),
                 trace,
-            );
-        }
-    };
-    if let Some(state) = &mut trace {
-        state.ev.rows = rows.min(u32::MAX as usize) as u32;
-    }
-    let dispatch_started = trace.as_ref().map(|_| Instant::now());
-    let submitted = ctx.pool.submit(features, rows);
-    if let (Some(state), Some(t0)) = (&mut trace, dispatch_started) {
-        state.ev.dispatch_us = us32(t0.elapsed());
-    }
-    match submitted {
-        Ok(reply) => Outcome::Score {
-            reply,
-            rows,
-            keep_alive: ka,
-            request_id,
-            trace,
-        },
-        Err(SubmitError::Overloaded) => {
-            set_status(&mut trace, 503);
-            Outcome::Ready(
-                http::render_json(
-                    503,
-                    "Service Unavailable",
-                    &[("Retry-After", ctx.retry_after.as_str())],
-                    &json!({"error": "queue full, retry later", "request_id": request_id}),
-                    ka,
-                ),
-                trace,
-            )
-        }
-        Err(SubmitError::Stopped) => {
-            set_status(&mut trace, 503);
-            Outcome::Ready(
-                http::render_json(
-                    503,
-                    "Service Unavailable",
-                    &[],
-                    &json!({"error": "server is shutting down", "request_id": request_id}),
-                    ka,
-                ),
-                trace,
             )
         }
     }
 }
 
+/// The `503` + `Retry-After` answer to a job its shard had no room for.
+fn shed_response(mut meta: ScoreMeta, ctx: &Ctx) -> (Vec<u8>, Option<Box<TraceState>>) {
+    set_status(&mut meta.trace, 503);
+    let bytes = http::render_json(
+        503,
+        "Service Unavailable",
+        &[("Retry-After", ctx.retry_after.as_str())],
+        &json!({"error": "queue full, retry later", "request_id": meta.request_id}),
+        meta.keep_alive,
+    );
+    (bytes, meta.trace)
+}
+
+/// Renders a scored job: `200` with its verdicts, or `500` when the model
+/// produced a non-finite probability (counted in `serve_nonfinite_scores`;
+/// a non-finite score never becomes a verdict).
+fn render_scored(mut meta: ScoreMeta, scored: &ScoreReply) -> (Vec<u8>, Option<Box<TraceState>>) {
+    if let Some(state) = &mut meta.trace {
+        state.ev.shard = scored.shard;
+        state.ev.model_version = scored.version;
+        state.ev.precision_bits = scored.precision.bits();
+        state.ev.batch_rows = scored.batch_rows;
+        state.ev.queue_us = scored.queue_us;
+        state.ev.assembly_us = scored.assembly_us;
+        state.ev.forward_us = scored.forward_us;
+    }
+    set_status(&mut meta.trace, 200);
+    let body = score_body(
+        &scored.probs,
+        meta.rows,
+        scored.version,
+        meta.request_id,
+        scored.precision,
+    );
+    let bytes = match body {
+        Ok(body) => http::render_json(200, "OK", &[], &body, meta.keep_alive),
+        Err(bad_rows) => {
+            if let Some(state) = &mut meta.trace {
+                state.ev.status = 500;
+            }
+            nonfinite_response(bad_rows, Some(meta.request_id), meta.keep_alive)
+        }
+    };
+    (bytes, meta.trace)
+}
+
+/// The `500` answer to a reply whose model output holds `bad_rows`
+/// non-finite probability rows; counts them into `serve_nonfinite_scores`.
+pub(crate) fn nonfinite_response(
+    bad_rows: u64,
+    request_id: Option<u64>,
+    keep_alive: bool,
+) -> Vec<u8> {
+    metrics::nonfinite_scores().add(bad_rows);
+    internal_error(
+        "the model produced a non-finite score",
+        request_id,
+        keep_alive,
+    )
+}
+
 /// Spawns the reload worker. File IO, JSON parsing, replica construction,
-/// and the shard swaps all happen on the worker thread — the event loop
-/// (and every scorer) stays on its hot path.
-fn reload_request(request: &Request, ctx: &Ctx) -> Outcome {
+/// and the shard swaps all happen on the worker thread — the event loops
+/// stay on their hot path — and the worker wakes the requesting loop
+/// (`waker`) once the result is in.
+fn reload_request(request: &Request, ctx: &Ctx, waker: Option<&Arc<Waker>>) -> Outcome {
     let ka = request.keep_alive;
     let path = std::str::from_utf8(&request.body)
         .ok()
@@ -602,6 +706,7 @@ fn reload_request(request: &Request, ctx: &Ctx) -> Outcome {
     };
     let (tx, done) = mpsc::channel();
     let pool = ctx.pool.clone();
+    let waker = waker.cloned();
     let spawned = std::thread::Builder::new()
         .name("gale-serve-reload".into())
         .spawn(move || {
@@ -614,6 +719,9 @@ fn reload_request(request: &Request, ctx: &Ctx) -> Outcome {
                 }
             }
             let _ = tx.send(result);
+            if let Some(waker) = waker {
+                waker.wake();
+            }
         });
     match spawned {
         Ok(_) => Outcome::Reload {
@@ -621,13 +729,7 @@ fn reload_request(request: &Request, ctx: &Ctx) -> Outcome {
             keep_alive: ka,
         },
         Err(e) => Outcome::Ready(
-            http::render_json(
-                500,
-                "Internal Server Error",
-                &[],
-                &json!({"error": format!("cannot spawn reload worker: {e}")}),
-                ka,
-            ),
+            internal_error(&format!("cannot spawn reload worker: {e}"), None, ka),
             None,
         ),
     }
@@ -681,13 +783,6 @@ fn render_reload_result(result: Result<u64, ReloadError>, keep_alive: bool) -> V
             &json!({"error": e.to_string()}),
             keep_alive,
         ),
-        Err(e @ ReloadError::PoolDown) => http::render_json(
-            503,
-            "Service Unavailable",
-            &[],
-            &json!({"error": e.to_string()}),
-            keep_alive,
-        ),
     }
 }
 
@@ -704,9 +799,6 @@ const MAX_PIPELINE: usize = 32;
 /// cannot balloon memory.
 const RBUF_CAP: usize = http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES + 4096;
 
-/// How long the loop sleeps when a full tick made no progress.
-const IDLE_TICK: Duration = Duration::from_micros(300);
-
 /// How long a drain waits for unresponsive clients to take their answers
 /// before dropping them.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
@@ -714,13 +806,8 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 /// One queued (request-ordered) response slot.
 enum Pending {
     Ready(Vec<u8>, Option<Box<TraceState>>),
-    Score {
-        reply: Receiver<ScoreReply>,
-        rows: usize,
-        keep_alive: bool,
-        request_id: u64,
-        trace: Option<Box<TraceState>>,
-    },
+    /// A feature job in this tick's batch; becomes `Ready` once scored.
+    Scoring(ScoreMeta),
     Reload {
         done: Receiver<Result<u64, ReloadError>>,
         keep_alive: bool,
@@ -740,14 +827,20 @@ struct Conn {
     /// traced responses compares against it.
     flushed_total: u64,
     /// Traced responses queued in `wbuf`, as `(absolute end offset,
-    /// trace, when the bytes were queued)`; a response is done writing
-    /// when `flushed_total` passes its end offset.
-    traced_writes: VecDeque<(u64, Box<TraceState>, Instant)>,
+    /// trace)`; a response is done writing when `flushed_total` passes its
+    /// end offset.
+    traced_writes: VecDeque<(u64, Box<TraceState>)>,
     /// No further requests will be parsed (close requested or protocol
     /// error); close once everything queued is answered and flushed.
     no_more_requests: bool,
     /// Peer closed its write half or errored; stop reading.
     reading: bool,
+    /// This connection's entry in the current wait, if it has one.
+    poll_entry: Option<usize>,
+    /// The last wait reported the socket readable (or it is new).
+    readable: bool,
+    /// Parsing stopped at [`MAX_PIPELINE`] with requests still buffered.
+    parse_blocked: bool,
     dead: bool,
     last_activity: Instant,
 }
@@ -765,6 +858,9 @@ impl Conn {
             traced_writes: VecDeque::new(),
             no_more_requests: false,
             reading: true,
+            poll_entry: None,
+            readable: true,
+            parse_blocked: false,
             dead: false,
             last_activity: Instant::now(),
         }
@@ -777,288 +873,410 @@ impl Conn {
     fn idle(&self) -> bool {
         self.pending.is_empty() && self.flushed() && self.rbuf.is_empty()
     }
+
+    fn wants_read(&self, draining: bool) -> bool {
+        self.reading && !draining && self.rbuf.len() < RBUF_CAP
+    }
 }
 
-fn event_loop(
-    listener: TcpListener,
+/// One shard's event loop: its connections and the current tick's jobs.
+struct EventLoop {
+    shard: usize,
+    listener: Arc<TcpListener>,
     ctx: Arc<Ctx>,
-    shutdown: Arc<AtomicBool>,
     keep_alive: Duration,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut draining = false;
-    let mut drain_started = Instant::now();
-    loop {
-        let mut progressed = false;
-        if !draining && shutdown.load(Ordering::SeqCst) {
-            draining = true;
-            drain_started = Instant::now();
-        }
+    conns: Vec<Conn>,
+    /// This tick's admitted feature jobs, and for each the connection and
+    /// pending-slot index its reply goes to.
+    jobs: Vec<Job>,
+    slots: Vec<(usize, usize)>,
+    replies: Vec<ScoreReply>,
+    poller: Poller,
+    scratch: Vec<u8>,
+    /// When the drain began, once shutdown was requested.
+    draining: Option<Instant>,
+}
 
-        // Accept everything ready (drain mode stops taking new work).
-        if !draining {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        conns.push(Conn::new(stream));
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => {
-                        gale_obs::warn!("gale-serve accept error: {e}");
-                        break;
-                    }
-                }
-            }
-        }
-
-        let now = Instant::now();
-        for conn in conns.iter_mut() {
-            progressed |= tick_conn(conn, &ctx, draining, &mut scratch);
-            // A shutdown request handled inside this very tick flips the
-            // flag; pick it up before judging idleness below.
-            if !draining && shutdown.load(Ordering::SeqCst) {
-                draining = true;
-                drain_started = now;
-            }
-            if !conn.dead {
-                let done = conn.pending.is_empty() && conn.flushed();
-                // Close when the last reply is flushed and no more requests can
-                // arrive (client half-closed, `Connection: close`, or drain), or
-                // when an idle keep-alive connection outlives its timeout.
-                let finished = (conn.no_more_requests || !conn.reading || draining) && done;
-                let timed_out =
-                    !draining && conn.idle() && now.duration_since(conn.last_activity) > keep_alive;
-                if finished || timed_out {
-                    conn.dead = true;
-                }
-            }
-        }
-        let before = conns.len();
-        conns.retain(|c| !c.dead);
-        progressed |= conns.len() != before;
-        metrics::connections().set(conns.len() as f64);
-
-        if draining {
-            if conns.is_empty() {
-                break;
-            }
-            if drain_started.elapsed() > DRAIN_DEADLINE {
-                gale_obs::warn!(
-                    "gale-serve drain deadline hit with {} unresponsive connection(s)",
-                    conns.len()
-                );
-                break;
-            }
-        }
-        if !progressed {
-            std::thread::sleep(IDLE_TICK);
+impl EventLoop {
+    fn new(shard: usize, listener: Arc<TcpListener>, ctx: Arc<Ctx>, keep_alive: Duration) -> Self {
+        EventLoop {
+            shard,
+            listener,
+            ctx,
+            keep_alive,
+            conns: Vec::new(),
+            jobs: Vec::new(),
+            slots: Vec::new(),
+            replies: Vec::new(),
+            poller: Poller::new(),
+            scratch: vec![0u8; 64 * 1024],
+            draining: None,
         }
     }
-    // Dropping `ctx` (the last pool handle outside any in-flight reload
-    // worker) disconnects every shard queue; shards answer whatever is
-    // still queued — nothing is at this point — and exit.
-}
 
-/// One readiness pass over a connection. Returns whether any progress was
-/// made (bytes moved or a response completed).
-fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> bool {
-    let mut progressed = false;
-
-    let tracing = ring::tracing_enabled();
-
-    // Read phase. Drain mode stops reading: requests not yet received by
-    // the time shutdown was requested are not "accepted".
-    if conn.reading && !draining {
-        while conn.rbuf.len() < RBUF_CAP {
-            let space = (RBUF_CAP - conn.rbuf.len()).min(scratch.len());
-            match conn.stream.read(&mut scratch[..space]) {
-                Ok(0) => {
-                    conn.reading = false;
+    fn run(mut self) {
+        let mut timeout = None;
+        loop {
+            let listener_ready = self.wait(timeout);
+            self.note_shutdown();
+            self.adopt();
+            if listener_ready && self.draining.is_none() {
+                self.accept();
+            }
+            let tracing = ring::tracing_enabled();
+            for ci in 0..self.conns.len() {
+                self.read_and_parse(ci, tracing);
+            }
+            // A shutdown request handled in this very tick flips the flag;
+            // pick it up before judging which connections are finished.
+            self.note_shutdown();
+            self.score_tick();
+            for conn in &mut self.conns {
+                resolve_and_write(conn);
+            }
+            self.reap();
+            if let Some(since) = self.draining {
+                if self.conns.is_empty() {
                     break;
                 }
-                Ok(n) => {
-                    let now = Instant::now();
-                    if tracing && conn.rbuf.is_empty() {
-                        conn.read_start = Some(now);
+                if since.elapsed() > DRAIN_DEADLINE {
+                    gale_obs::warn!(
+                        "gale-serve drain deadline hit with {} unresponsive connection(s)",
+                        self.conns.len()
+                    );
+                    break;
+                }
+            }
+            timeout = self.next_timeout();
+        }
+        metrics::connections().add(-(self.conns.len() as f64));
+    }
+
+    /// Blocks until a registered socket or the waker is ready, or
+    /// `timeout` passes; marks which connections can be read. Returns
+    /// whether the listener has connections to accept.
+    fn wait(&mut self, timeout: Option<Duration>) -> bool {
+        let draining = self.draining.is_some();
+        let waker = &self.ctx.wakers[self.shard];
+        self.poller.clear();
+        self.poller.add(waker.fd(), true, false);
+        let listener = (!draining).then(|| self.poller.add(fd_of(&*self.listener), true, false));
+        // A connection with nothing to read or write waits on its own
+        // pending work (a reload result arrives through the waker), so it
+        // is left out rather than polled for hang-ups.
+        for c in &mut self.conns {
+            let (read, write) = (c.wants_read(draining), !c.flushed());
+            c.poll_entry = (read || write).then(|| self.poller.add(fd_of(&c.stream), read, write));
+        }
+        if let Err(e) = self.poller.wait(timeout) {
+            gale_obs::warn!("gale-serve poll failed: {e}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        waker.drain();
+        for c in &mut self.conns {
+            c.readable = c.poll_entry.is_some_and(|i| self.poller.readable(i));
+        }
+        listener.is_some_and(|i| self.poller.readable(i))
+    }
+
+    fn note_shutdown(&mut self) {
+        if self.draining.is_none() && self.ctx.shutdown.load(Ordering::SeqCst) {
+            self.draining = Some(Instant::now());
+        }
+    }
+
+    /// Takes over connections another loop accepted for this one.
+    fn adopt(&mut self) {
+        let handed: Vec<TcpStream> = std::mem::take(
+            &mut *self.ctx.inboxes[self.shard]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for stream in handed {
+            self.push_conn(stream);
+        }
+    }
+
+    fn push_conn(&mut self, stream: TcpStream) {
+        metrics::connections().add(1.0);
+        self.conns.push(Conn::new(stream));
+    }
+
+    /// Accepts everything ready, dealing connections round-robin across
+    /// the loops so load spreads whichever loop woke first.
+    fn accept(&mut self) {
+        let loops = self.ctx.wakers.len();
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
                     }
-                    conn.rbuf.extend_from_slice(&scratch[..n]);
-                    conn.last_activity = now;
-                    progressed = true;
+                    let _ = stream.set_nodelay(true);
+                    let owner = self.ctx.next_conn.fetch_add(1, Ordering::Relaxed) % loops;
+                    if owner == self.shard {
+                        self.push_conn(stream);
+                    } else {
+                        self.ctx.inboxes[owner]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(stream);
+                        self.ctx.wakers[owner].wake();
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return true;
+                Err(e) => {
+                    gale_obs::warn!("gale-serve accept error: {e}");
+                    break;
                 }
             }
         }
     }
 
-    // Parse phase: peel complete pipelined requests off the buffer. Runs
-    // in drain mode too — a request fully received before the drain began
-    // was accepted and must be answered.
-    while !conn.no_more_requests && conn.pending.len() < MAX_PIPELINE {
-        let parse_started = if tracing { Some(Instant::now()) } else { None };
-        match http::parse_request(&conn.rbuf) {
-            Ok(Some((request, consumed))) => {
-                conn.rbuf.drain(..consumed);
-                let timing = parse_started.map(|parse_started| {
-                    let started = conn.read_start.take().unwrap_or(parse_started);
-                    // Whatever is still buffered belongs to the *next*
-                    // pipelined request, which is therefore already here.
-                    if !conn.rbuf.is_empty() {
-                        conn.read_start = Some(Instant::now());
+    /// Reads whatever connection `ci` has ready, then peels complete
+    /// pipelined requests off its buffer and handles them. Feature jobs
+    /// are admitted to this loop's shard and join the tick's batch.
+    fn read_and_parse(&mut self, ci: usize, tracing: bool) {
+        let draining = self.draining.is_some();
+        let conn = &mut self.conns[ci];
+        if conn.dead {
+            return;
+        }
+        // Read phase. Drain mode stops reading: requests not yet received
+        // by the time shutdown was requested are not "accepted".
+        if conn.readable && conn.reading && !draining {
+            while conn.rbuf.len() < RBUF_CAP {
+                let space = (RBUF_CAP - conn.rbuf.len()).min(self.scratch.len());
+                match conn.stream.read(&mut self.scratch[..space]) {
+                    Ok(0) => {
+                        conn.reading = false;
+                        break;
                     }
-                    ReqTiming {
-                        started,
-                        read_us: us32(parse_started.duration_since(started)),
-                        parse_started,
+                    Ok(n) => {
+                        let now = Instant::now();
+                        if tracing && conn.rbuf.is_empty() {
+                            conn.read_start = Some(now);
+                        }
+                        conn.rbuf.extend_from_slice(&self.scratch[..n]);
+                        conn.last_activity = now;
                     }
-                });
-                let keep = request.keep_alive;
-                let pending = match handle_request(&request, ctx, timing) {
-                    Outcome::Ready(bytes, trace) => Pending::Ready(bytes, trace),
-                    Outcome::Score {
-                        reply,
-                        rows,
-                        keep_alive,
-                        request_id,
-                        trace,
-                    } => Pending::Score {
-                        reply,
-                        rows,
-                        keep_alive,
-                        request_id,
-                        trace,
-                    },
-                    Outcome::Reload { done, keep_alive } => Pending::Reload { done, keep_alive },
-                };
-                conn.pending.push_back(pending);
-                if !keep {
-                    conn.no_more_requests = true;
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        conn.dead = true;
+                        return;
+                    }
                 }
-                progressed = true;
             }
-            Ok(None) => break,
-            Err(HttpError::Malformed(msg)) => {
-                conn.pending.push_back(Pending::Ready(
-                    http::render_json(400, "Bad Request", &[], &json!({"error": msg}), false),
-                    None,
-                ));
-                conn.no_more_requests = true;
-                conn.reading = false;
-                conn.rbuf.clear();
-                progressed = true;
+        }
+
+        // Parse phase. Runs in drain mode too — a request fully received
+        // before the drain began was accepted and must be answered.
+        conn.parse_blocked = false;
+        while !conn.no_more_requests && !conn.rbuf.is_empty() {
+            if conn.pending.len() >= MAX_PIPELINE {
+                conn.parse_blocked = true;
                 break;
             }
-            Err(HttpError::Io(_)) => unreachable!("buffer parsing does no IO"),
+            let parse_started = tracing.then(Instant::now);
+            let (request, consumed) = match http::parse_request(&conn.rbuf) {
+                Ok(Some(parsed)) => parsed,
+                Ok(None) => break,
+                Err(HttpError::Malformed(msg)) => {
+                    conn.pending.push_back(Pending::Ready(
+                        http::render_json(400, "Bad Request", &[], &json!({"error": msg}), false),
+                        None,
+                    ));
+                    conn.no_more_requests = true;
+                    conn.reading = false;
+                    conn.rbuf.clear();
+                    break;
+                }
+                Err(HttpError::Io(_)) => unreachable!("buffer parsing does no IO"),
+            };
+            conn.rbuf.drain(..consumed);
+            let timing = parse_started.map(|parse_started| {
+                let started = conn.read_start.take().unwrap_or(parse_started);
+                // Whatever is still buffered belongs to the *next*
+                // pipelined request, which is therefore already here.
+                if !conn.rbuf.is_empty() {
+                    conn.read_start = Some(Instant::now());
+                }
+                ReqTiming {
+                    started,
+                    read_us: us32(parse_started.duration_since(started)),
+                    parse_started,
+                }
+            });
+            let keep = request.keep_alive;
+            let waker = &self.ctx.wakers[self.shard];
+            let outcome = isolate(keep, || {
+                handle_request(&request, &self.ctx, timing, Some(waker))
+            })
+            .unwrap_or_else(|bytes| Outcome::Ready(bytes, None));
+            let pending = match outcome {
+                Outcome::Ready(bytes, trace) => Pending::Ready(bytes, trace),
+                Outcome::Score { features, mut meta } => match self.ctx.pool.admit(self.shard) {
+                    Ok(()) => {
+                        let enqueued = Instant::now();
+                        if let Some(state) = &mut meta.trace {
+                            state.ev.dispatch_us = us32(enqueued.duration_since(state.mark));
+                        }
+                        self.jobs.push(Job {
+                            rows: meta.rows,
+                            features,
+                            enqueued,
+                        });
+                        self.slots.push((ci, conn.pending.len()));
+                        Pending::Scoring(meta)
+                    }
+                    Err(SubmitError::Overloaded) => {
+                        let (bytes, trace) = shed_response(meta, &self.ctx);
+                        Pending::Ready(bytes, trace)
+                    }
+                },
+                Outcome::Reload { done, keep_alive } => Pending::Reload { done, keep_alive },
+            };
+            conn.pending.push_back(pending);
+            if !keep {
+                conn.no_more_requests = true;
+            }
         }
     }
 
-    // Resolve phase: responses leave strictly in request order, so only
-    // the front of the queue can complete.
+    /// Scores the tick's feature jobs on this thread and renders their
+    /// replies into their response slots. A panic while scoring answers
+    /// the jobs it left unscored with `500`.
+    fn score_tick(&mut self) {
+        if self.jobs.is_empty() {
+            return;
+        }
+        self.replies.clear();
+        let (pool, shard, jobs, replies) =
+            (&self.ctx.pool, self.shard, &self.jobs, &mut self.replies);
+        let _ = isolate(true, || pool.score_jobs(shard, jobs, replies));
+        for (i, &(ci, pi)) in self.slots.iter().enumerate() {
+            let slot = &mut self.conns[ci].pending[pi];
+            let Pending::Scoring(meta) = std::mem::replace(slot, Pending::Ready(Vec::new(), None))
+            else {
+                unreachable!("job slots point at scoring entries");
+            };
+            *slot = match self.replies.get(i) {
+                Some(scored) => {
+                    let (bytes, trace) = render_scored(meta, scored);
+                    Pending::Ready(bytes, trace)
+                }
+                None => {
+                    let mut trace = meta.trace;
+                    set_status(&mut trace, 500);
+                    let msg = "internal error while scoring";
+                    let bytes = internal_error(msg, Some(meta.request_id), meta.keep_alive);
+                    Pending::Ready(bytes, trace)
+                }
+            };
+        }
+        self.jobs.clear();
+        self.slots.clear();
+    }
+
+    /// Closes finished and timed-out connections.
+    fn reap(&mut self) {
+        let draining = self.draining.is_some();
+        let now = Instant::now();
+        for conn in &mut self.conns {
+            let done = conn.pending.is_empty() && conn.flushed();
+            // Close when the last reply is flushed and no more requests can
+            // arrive (client half-closed, `Connection: close`, or drain), or
+            // when an idle keep-alive connection outlives its timeout.
+            let finished = (conn.no_more_requests || !conn.reading || draining) && done;
+            let timed_out = !draining
+                && conn.idle()
+                && now.duration_since(conn.last_activity) > self.keep_alive;
+            if finished || timed_out {
+                conn.dead = true;
+            }
+        }
+        let before = self.conns.len();
+        self.conns.retain(|c| !c.dead);
+        metrics::connections().add(-((before - self.conns.len()) as f64));
+    }
+
+    /// How long the next wait may block: not at all while a connection
+    /// still holds parseable requests, until the drain deadline while
+    /// draining, else until the earliest idle connection expires (forever
+    /// with none).
+    fn next_timeout(&self) -> Option<Duration> {
+        if self
+            .conns
+            .iter()
+            .any(|c| c.parse_blocked && c.pending.len() < MAX_PIPELINE)
+        {
+            return Some(Duration::ZERO);
+        }
+        if let Some(since) = self.draining {
+            return Some(DRAIN_DEADLINE.saturating_sub(since.elapsed()));
+        }
+        let now = Instant::now();
+        self.conns
+            .iter()
+            .filter(|c| c.idle())
+            .map(|c| {
+                // Just past the deadline, so the reap sees it expired.
+                (self.keep_alive + Duration::from_millis(1))
+                    .saturating_sub(now.duration_since(c.last_activity))
+            })
+            .min()
+    }
+}
+
+/// Moves finished responses (strictly in request order, so only the front
+/// of the queue can complete) into the write buffer, writes what the
+/// socket takes, and completes the wide events of fully flushed replies.
+fn resolve_and_write(conn: &mut Conn) {
+    if conn.dead {
+        return;
+    }
     while let Some(front) = conn.pending.front_mut() {
         let resolved: Option<(Vec<u8>, Option<Box<TraceState>>)> = match front {
             Pending::Ready(bytes, trace) => Some((std::mem::take(bytes), trace.take())),
-            Pending::Score {
-                reply,
-                rows,
-                keep_alive,
-                request_id,
-                trace,
-            } => match reply.try_recv() {
-                Ok(scored) => {
-                    fill_scored(trace, &scored);
-                    Some((
-                        http::render_json(
-                            200,
-                            "OK",
-                            &[],
-                            &score_body(
-                                &scored.probs,
-                                *rows,
-                                scored.version,
-                                *request_id,
-                                scored.precision,
-                            ),
-                            *keep_alive,
-                        ),
-                        trace.take(),
-                    ))
-                }
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => {
-                    set_status(trace, 500);
-                    Some((
-                        http::render_json(
-                            500,
-                            "Internal Server Error",
-                            &[],
-                            &json!({"error": "scorer dropped the request", "request_id": *request_id}),
-                            *keep_alive,
-                        ),
-                        trace.take(),
-                    ))
-                }
-            },
+            Pending::Scoring(_) => None,
             Pending::Reload { done, keep_alive } => match done.try_recv() {
                 Ok(result) => Some((render_reload_result(result, *keep_alive), None)),
                 Err(TryRecvError::Empty) => None,
                 Err(TryRecvError::Disconnected) => Some((
-                    http::render_json(
-                        500,
-                        "Internal Server Error",
-                        &[],
-                        &json!({"error": "reload worker died"}),
-                        *keep_alive,
-                    ),
+                    internal_error("reload worker died", None, *keep_alive),
                     None,
                 )),
             },
         };
-        match resolved {
-            Some((bytes, trace)) => {
-                if let Some(state) = trace {
-                    let queued = (conn.wbuf.len() - conn.wpos) as u64;
-                    conn.traced_writes.push_back((
-                        conn.flushed_total + queued + bytes.len() as u64,
-                        state,
-                        Instant::now(),
-                    ));
-                }
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.pending.pop_front();
-                progressed = true;
-            }
-            None => break,
+        let Some((bytes, trace)) = resolved else {
+            break;
+        };
+        if let Some(state) = trace {
+            let queued = (conn.wbuf.len() - conn.wpos) as u64;
+            conn.traced_writes
+                .push_back((conn.flushed_total + queued + bytes.len() as u64, state));
         }
+        conn.wbuf.extend_from_slice(&bytes);
+        conn.pending.pop_front();
     }
 
-    // Write phase.
     while conn.wpos < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {
                 conn.dead = true;
-                return true;
+                return;
             }
             Ok(n) => {
                 conn.wpos += n;
                 conn.flushed_total += n as u64;
                 conn.last_activity = Instant::now();
-                progressed = true;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
-                return true;
+                return;
             }
         }
     }
@@ -1067,45 +1285,53 @@ fn tick_conn(conn: &mut Conn, ctx: &Ctx, draining: bool, scratch: &mut [u8]) -> 
     while conn
         .traced_writes
         .front()
-        .is_some_and(|(end, _, _)| *end <= conn.flushed_total)
+        .is_some_and(|(end, _)| *end <= conn.flushed_total)
     {
-        let (_, state, write_started) = conn.traced_writes.pop_front().expect("front checked");
-        finish_trace(*state, write_started);
-        progressed = true;
+        let (_, state) = conn.traced_writes.pop_front().expect("front checked");
+        finish_trace(*state);
     }
     if conn.flushed() && !conn.wbuf.is_empty() {
         conn.wbuf.clear();
         conn.wpos = 0;
     }
-    progressed
 }
 
 // ---------------------------------------------------------------------------
-// Blocking mode (the PR-5 baseline)
+// Blocking mode
 // ---------------------------------------------------------------------------
 
-fn blocking_accept_loop(listener: TcpListener, ctx: Arc<Ctx>, shutdown: Arc<AtomicBool>) {
+fn blocking_accept_loop(listener: &TcpListener, ctx: Arc<Ctx>) {
+    let waker = &ctx.wakers[0];
+    let mut poller = Poller::new();
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let ctx = ctx.clone();
-                handlers.push(std::thread::spawn(move || {
-                    handle_blocking_connection(stream, &ctx)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => {
-                gale_obs::warn!("gale-serve accept error: {e}");
-                std::thread::sleep(Duration::from_millis(10));
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        poller.clear();
+        poller.add(waker.fd(), true, false);
+        poller.add(fd_of(listener), true, false);
+        if let Err(e) = poller.wait(None) {
+            gale_obs::warn!("gale-serve poll failed: {e}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        waker.drain();
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let ctx = ctx.clone();
+                    handlers.push(std::thread::spawn(move || {
+                        handle_blocking_connection(stream, &ctx)
+                    }));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => {
+                    gale_obs::warn!("gale-serve accept error: {e}");
+                    std::thread::sleep(Duration::from_millis(10));
+                    break;
+                }
             }
         }
         handlers.retain(|h| !h.is_finished());
     }
-    // Drain: finish in-flight connections; dropping `ctx` afterwards lets
-    // the shards answer everything still queued and exit.
+    // Drain: finish in-flight connections.
     for h in handlers {
         let _ = h.join();
     }
@@ -1132,72 +1358,29 @@ fn handle_blocking_connection(mut stream: TcpStream, ctx: &Ctx) {
         read_us: us32(started.elapsed()),
         parse_started: Instant::now(),
     });
-    let (bytes, trace) = match handle_request(&request, ctx, timing) {
-        Outcome::Ready(bytes, trace) => (bytes, trace),
-        Outcome::Score {
-            reply,
-            rows,
-            request_id,
-            mut trace,
-            ..
-        } => match reply.recv() {
-            Ok(scored) => {
-                fill_scored(&mut trace, &scored);
-                (
-                    http::render_json(
-                        200,
-                        "OK",
-                        &[],
-                        &score_body(
-                            &scored.probs,
-                            rows,
-                            scored.version,
-                            request_id,
-                            scored.precision,
-                        ),
-                        false,
-                    ),
-                    trace,
-                )
-            }
-            Err(_) => {
-                set_status(&mut trace, 500);
-                (
-                    http::render_json(
-                        500,
-                        "Internal Server Error",
-                        &[],
-                        &json!({"error": "scorer dropped the request", "request_id": request_id}),
-                        false,
-                    ),
-                    trace,
-                )
-            }
-        },
-        Outcome::Reload { done, .. } => match done.recv() {
-            Ok(result) => (render_reload_result(result, false), None),
-            Err(_) => (
-                http::render_json(
-                    500,
-                    "Internal Server Error",
-                    &[],
-                    &json!({"error": "reload worker died"}),
-                    false,
-                ),
-                None,
-            ),
-        },
-    };
+    let answered = isolate(false, || {
+        match handle_request(&request, ctx, timing, None) {
+            Outcome::Ready(bytes, trace) => (bytes, trace),
+            Outcome::Score { features, meta } => match ctx.pool.score(features, meta.rows) {
+                Ok(reply) => render_scored(meta, &reply),
+                Err(SubmitError::Overloaded) => shed_response(meta, ctx),
+            },
+            Outcome::Reload { done, .. } => match done.recv() {
+                Ok(result) => (render_reload_result(result, false), None),
+                Err(_) => (internal_error("reload worker died", None, false), None),
+            },
+        }
+    });
+    let (bytes, trace) = answered.unwrap_or_else(|bytes| (bytes, None));
     // Blocking mode is one-request-per-connection: force `close` framing
     // regardless of what the client asked for.
     let bytes = force_connection_close(bytes);
-    let write_started = Instant::now();
     if let Err(e) = stream.write_all(&bytes).and_then(|_| stream.flush()) {
         gale_obs::warn!("gale-serve response write failed: {e}");
         return;
     }
     if let Some(state) = trace {
-        finish_trace(*state, write_started);
+        finish_trace(*state);
     }
 }
 
@@ -1265,54 +1448,74 @@ fn parse_features(body: &[u8], input_dim: usize) -> Result<(Vec<f64>, usize), St
     Ok((flat, rows.len()))
 }
 
+/// The verdict rule both score paths share: a row's two-class error score
+/// (synthetic class dropped and renormalized, matching
+/// `Sgan::class_probs`) and whether it is an error. `None` when any of
+/// the row's probabilities is non-finite: such a row never becomes a
+/// verdict.
+pub(crate) fn verdict(probs: &[f64]) -> Option<(f64, bool)> {
+    if !probs.iter().all(|p| p.is_finite()) {
+        return None;
+    }
+    let (pe, pc) = (probs[0], probs[1]);
+    Some((pe / (pe + pc).max(1e-12), pe > pc))
+}
+
+/// [`verdict`] for every probability row, or the number of rows that have
+/// none.
+pub(crate) fn verdicts<'a>(rows: impl Iterator<Item = &'a [f64]>) -> Result<Vec<(f64, bool)>, u64> {
+    let all: Vec<Option<(f64, bool)>> = rows.map(verdict).collect();
+    match all.iter().filter(|v| v.is_none()).count() as u64 {
+        0 => Ok(all.into_iter().flatten().collect()),
+        bad_rows => Err(bad_rows),
+    }
+}
+
 /// Builds the `/score` response from `rows * 3` probabilities: the raw
-/// 3-class rows, the two-class error score (synthetic class dropped and
-/// renormalized, matching `Sgan::class_probs`), the verdict string, the
-/// model generation that scored the batch (every row of a response was
-/// scored by exactly this version), and the request id also stamped into
-/// the request's trace records. Feeds the per-version score-distribution
-/// and verdict-mix series as a side effect, so `/metrics` shows a reload
-/// as a clean handover between generations.
+/// 3-class rows, the two-class error scores and verdict strings of
+/// [`verdict`], the model generation that scored the batch (every row of a
+/// response was scored by exactly this version), and the request id also
+/// stamped into the request's trace records. Feeds the per-version
+/// score-distribution and verdict-mix series as a side effect, so
+/// `/metrics` shows a reload as a clean handover between generations.
+///
+/// Fails with the number of non-finite rows, recording nothing, when any
+/// row has no verdict.
 fn score_body(
     probs: &[f64],
     rows: usize,
     version: u64,
     request_id: u64,
     precision: Precision,
-) -> Value {
+) -> Result<Value, u64> {
+    let verdicts = verdicts(probs.chunks(3).take(rows))?;
     let series = metrics::version_series(version);
     let mut prob_rows = Vec::with_capacity(rows);
     let mut error_scores = Vec::with_capacity(rows);
-    let mut verdicts = Vec::with_capacity(rows);
+    let mut labels = Vec::with_capacity(rows);
     let (mut errors, mut corrects) = (0u64, 0u64);
-    for r in 0..rows {
-        let (pe, pc, ps) = (probs[r * 3], probs[r * 3 + 1], probs[r * 3 + 2]);
-        prob_rows.push(Value::Array(vec![
-            Value::from(pe),
-            Value::from(pc),
-            Value::from(ps),
-        ]));
-        let score = pe / (pe + pc).max(1e-12);
+    for (row, (score, erroneous)) in probs.chunks(3).zip(verdicts) {
+        prob_rows.push(Value::Array(row.iter().map(|&p| Value::from(p)).collect()));
         series.score.record(score);
         error_scores.push(Value::from(score));
-        if pe > pc {
+        if erroneous {
             errors += 1;
-            verdicts.push(Value::from("error"));
+            labels.push(Value::from("error"));
         } else {
             corrects += 1;
-            verdicts.push(Value::from("correct"));
+            labels.push(Value::from("correct"));
         }
     }
     series.verdict_error.add(errors);
     series.verdict_correct.add(corrects);
-    json!({
+    Ok(json!({
         "probs": Value::Array(prob_rows),
         "error_scores": Value::Array(error_scores),
-        "verdicts": Value::Array(verdicts),
+        "verdicts": Value::Array(labels),
         "model_version": Value::Int(version as i64),
         "precision": precision.as_str(),
         "request_id": request_id,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -1347,7 +1550,7 @@ mod tests {
     #[test]
     fn score_body_reports_verdicts_and_renormalized_scores() {
         let probs = [0.6, 0.2, 0.2, 0.1, 0.7, 0.2];
-        let body = score_body(&probs, 2, 3, 77, Precision::F32);
+        let body = score_body(&probs, 2, 3, 77, Precision::F32).unwrap();
         let verdicts = body.get("verdicts").unwrap().as_array().unwrap();
         assert_eq!(verdicts[0].as_str(), Some("error"));
         assert_eq!(verdicts[1].as_str(), Some("correct"));
@@ -1361,6 +1564,33 @@ mod tests {
         let series = metrics::version_series(3);
         assert!(series.verdict_error.get() >= 1);
         assert!(series.verdict_correct.get() >= 1);
+    }
+
+    #[test]
+    fn non_finite_rows_never_become_verdicts() {
+        // 1e308 features overflow the forward into NaN; whatever the cause,
+        // a non-finite probability row fails the whole reply.
+        let probs = [0.6, 0.2, 0.2, f64::NAN, 0.0, 0.0, 0.1, f64::INFINITY, 0.2];
+        let series = metrics::version_series(91);
+        assert_eq!(score_body(&probs, 3, 91, 5, Precision::F64), Err(2));
+        assert_eq!(series.verdict_error.get() + series.verdict_correct.get(), 0);
+        assert_eq!(verdict(&[0.5, 0.5, 0.0]), Some((0.5, false)));
+        assert_eq!(verdict(&[f64::NAN, 0.0, 0.0]), None);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_is_counted() {
+        let before = metrics::handler_panics().get();
+        let answered = isolate(true, || -> Outcome { panic!("handler bug") });
+        let Err(bytes) = answered else {
+            panic!("a panic must not produce an outcome");
+        };
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
+        assert!(text.contains("Connection: keep-alive"), "{text}");
+        assert_eq!(metrics::handler_panics().get(), before + 1);
+        // Calls that do not panic pass straight through.
+        assert_eq!(isolate(false, || 7).ok(), Some(7));
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //!
 //! When the server boots with a stream bundle
 //! ([`crate::serve_with_stream`]), a [`gale_stream::StreamEngine`] rides
-//! alongside the shard pool behind a mutex. Mutations apply deltas and
-//! mark k-hop dirty sets; verdicts refresh lazily on the next node-mode
-//! score request, so a mutation burst costs one incremental refresh, not
-//! one per mutation. Feature-body `/score` requests never touch the
-//! mutex — they keep the shard-pool hot path.
+//! alongside the shards behind a mutex. Mutations apply deltas and mark
+//! k-hop dirty sets; verdicts refresh lazily on the next node-mode score
+//! request, so a mutation burst costs one incremental refresh, not one per
+//! mutation. Node verdicts follow the same rule as feature verdicts
+//! (`server::verdict`): a non-finite score answers `500`, never a
+//! verdict. Feature-body `/score` requests never touch the mutex — they
+//! keep the shard path.
 
 use crate::http;
 use crate::metrics;
+use crate::server::{nonfinite_response, verdicts};
 use gale_json::{json, Value};
 use gale_stream::{Mutation, StreamEngine};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The engine plus serving glue, shared by every connection thread.
@@ -26,6 +29,20 @@ impl StreamState {
         StreamState {
             engine: Mutex::new(engine),
         }
+    }
+
+    /// Takes the engine. A panic while it was held (answered `500` by the
+    /// request boundary) poisons the lock and may have left a mutation
+    /// batch half-applied, so the first request after it recomputes every
+    /// verdict from the graph as it now stands (`rescore_full`) and clears
+    /// the poison: no verdict is stale, and later requests keep serving.
+    fn engine(&self) -> MutexGuard<'_, StreamEngine> {
+        self.engine.lock().unwrap_or_else(|poisoned| {
+            let mut engine = poisoned.into_inner();
+            engine.rescore_full();
+            self.engine.clear_poison();
+            engine
+        })
     }
 
     /// Whether a request body is a node-mode score request
@@ -48,7 +65,7 @@ impl StreamState {
                 return http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka)
             }
         };
-        let mut engine = self.engine.lock().expect("stream engine lock");
+        let mut engine = self.engine();
         match engine.apply(&muts) {
             Ok(report) => {
                 metrics::stream_mutations().add(report.outcomes.len() as u64);
@@ -103,7 +120,7 @@ impl StreamState {
                 return http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka)
             }
         };
-        let mut engine = self.engine.lock().expect("stream engine lock");
+        let mut engine = self.engine();
         let refresh_ns_before = engine.refresh_ns;
         let refreshes_before = engine.refreshes;
         match engine.score_nodes(&nodes) {
@@ -114,18 +131,22 @@ impl StreamState {
                         .record((engine.refresh_ns - refresh_ns_before) as f64 / 1_000.0);
                 }
                 metrics::stream_dirty_nodes().set(engine.dirty_count() as f64);
+                let verdicts = match verdicts(scores.iter().map(|s| &s.probs[..])) {
+                    Ok(verdicts) => verdicts,
+                    Err(bad_rows) => return nonfinite_response(bad_rows, None, ka),
+                };
                 let mut node_ids = Vec::with_capacity(scores.len());
                 let mut probs = Vec::with_capacity(scores.len());
                 let mut error_scores = Vec::with_capacity(scores.len());
-                let mut verdicts = Vec::with_capacity(scores.len());
+                let mut labels = Vec::with_capacity(scores.len());
                 let mut versions = Vec::with_capacity(scores.len());
-                for s in &scores {
+                for (s, (score, erroneous)) in scores.iter().zip(verdicts) {
                     node_ids.push(Value::Int(s.node as i64));
                     probs.push(Value::Array(
                         s.probs.iter().map(|&p| Value::from(p)).collect(),
                     ));
-                    error_scores.push(Value::from(s.score));
-                    verdicts.push(Value::from(if s.erroneous { "error" } else { "correct" }));
+                    error_scores.push(Value::from(score));
+                    labels.push(Value::from(if erroneous { "error" } else { "correct" }));
                     versions.push(Value::Int(s.graph_version as i64));
                 }
                 http::render_json(
@@ -136,7 +157,7 @@ impl StreamState {
                         "nodes": Value::Array(node_ids),
                         "probs": Value::Array(probs),
                         "error_scores": Value::Array(error_scores),
-                        "verdicts": Value::Array(verdicts),
+                        "verdicts": Value::Array(labels),
                         "graph_versions": Value::Array(versions),
                         "graph_version": Value::Int(engine.graph_version() as i64),
                     }),
@@ -149,7 +170,7 @@ impl StreamState {
 
     /// `GET /debug/stream` — engine introspection document.
     pub fn debug(&self, ka: bool) -> Vec<u8> {
-        let engine = self.engine.lock().expect("stream engine lock");
+        let engine = self.engine();
         http::render_json(200, "OK", &[], &engine.debug_json(), ka)
     }
 }
@@ -192,5 +213,60 @@ mod tests {
         assert!(parse_nodes(br#"{"nodes": []}"#).is_err());
         assert!(parse_nodes(br#"{"nodes": [-1]}"#).is_err());
         assert!(parse_nodes(br#"{"features": [1]}"#).is_err());
+    }
+
+    #[test]
+    fn a_poisoned_engine_lock_keeps_serving() {
+        use gale_core::{Sgan, SganConfig};
+        use gale_nn::{Activation, Gae, Gcn};
+        use gale_stream::{BaseGraph, DeltaGraph, StreamConfig};
+        use gale_tensor::{Matrix, Rng, SparseMatrix};
+
+        let n = 8;
+        let mut rng = Rng::seed_from_u64(3);
+        let ring: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n, 1.0), ((i + 1) % n, i, 1.0)])
+            .collect();
+        let gae = Gae::from_parts(
+            Gcn::new_detached(3, 4, 2, Activation::Identity, &mut rng),
+            0.0,
+        );
+        let sgan_cfg = SganConfig {
+            d_hidden: vec![4],
+            g_hidden: vec![4],
+            ..Default::default()
+        };
+        let engine = StreamEngine::new(
+            DeltaGraph::new(BaseGraph::Mem(SparseMatrix::from_triplets(n, n, ring))),
+            Matrix::randn(n, 3, 1.0, &mut rng),
+            gae,
+            Sgan::new(5, &sgan_cfg, &mut rng),
+            None,
+            StreamConfig::default(),
+        )
+        .unwrap();
+        let state = std::sync::Arc::new(StreamState::new(engine));
+        // A handler that panics while holding the engine poisons its lock.
+        let holder = state.clone();
+        let _ = std::thread::spawn(move || {
+            let _engine = holder.engine();
+            panic!("simulated handler failure under the engine lock");
+        })
+        .join();
+        assert!(state.engine.is_poisoned());
+        let debug = String::from_utf8(state.debug(false)).unwrap();
+        assert!(debug.starts_with("HTTP/1.1 200 "), "{debug}");
+        assert!(!state.engine.is_poisoned(), "recovery clears the poison");
+        for reply in [
+            state.score_nodes(br#"{"nodes": [0, 1]}"#, false),
+            state.mutate(
+                br#"{"mutations": [{"op": "add_edge", "u": 0, "v": 4}]}"#,
+                false,
+            ),
+            state.debug(false),
+        ] {
+            let text = String::from_utf8(reply).unwrap();
+            assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+        }
     }
 }

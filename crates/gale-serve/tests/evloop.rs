@@ -1,7 +1,7 @@
 //! Event-loop front-end behavior over real sockets: keep-alive connection
 //! reuse, pipelined requests answered strictly in order, idle-connection
-//! reaping, and a deterministic drain across many shards where every
-//! accepted request is answered.
+//! reaping, a drain across many loops where every accepted request is
+//! answered, and an idle server that costs (almost) no CPU.
 
 use gale_core::{Sgan, SganConfig};
 use gale_json::Value;
@@ -120,9 +120,9 @@ fn pipelined_requests_are_answered_in_request_order() {
     let addr = handle.addr();
     let mut stream = TcpStream::connect(addr).unwrap();
     // One write carrying three different requests back to back: a
-    // health check, a 2-row score (slow: takes a trip through a shard),
-    // and another health check. In-order means the cheap third answer
-    // must still come after the scored second one.
+    // health check, a 2-row score (answered only after the tick's forward
+    // pass), and another health check. In-order means the cheap third
+    // answer must still come after the scored second one.
     let mut burst = Vec::new();
     burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     burst.extend_from_slice(&score_request(2, true));
@@ -164,11 +164,11 @@ fn idle_connections_are_reaped_after_the_keep_alive_timeout() {
 
 #[test]
 fn multi_shard_shutdown_answers_every_accepted_request() {
-    // Four shards with slow batch formation and a deliberately deep
-    // queue: 24 clients get their requests accepted, then the server is
-    // told to drain while most jobs still sit in shard queues. Every
-    // single one must come back 200 — no shard may race the listener
-    // close and strand its queue.
+    // Four event loops, each splitting its tick into 2-row forwards: 24
+    // clients spread across the loops get their requests accepted, then
+    // the server is told to drain. Every single one must come back 200
+    // with its own rows — no loop may exit with an accepted request
+    // unanswered, whichever loop took the shutdown request.
     let handle = serve(
         tiny_model(33),
         &ServeConfig {
@@ -176,7 +176,6 @@ fn multi_shard_shutdown_answers_every_accepted_request() {
             shards: 4,
             batch: BatchConfig {
                 max_batch: 2,
-                max_wait_us: 20_000,
                 queue_capacity: 64,
             },
             ..Default::default()
@@ -197,8 +196,8 @@ fn multi_shard_shutdown_answers_every_accepted_request() {
             })
         })
         .collect();
-    // Let the requests land in the queues, then drain via the admin
-    // endpoint like an operator would.
+    // Let the requests land, then drain via the admin endpoint like an
+    // operator would.
     std::thread::sleep(Duration::from_millis(150));
     let mut admin = TcpStream::connect(addr).unwrap();
     admin
@@ -216,4 +215,48 @@ fn multi_shard_shutdown_answers_every_accepted_request() {
     }
     // The listener is gone.
     assert!(TcpStream::connect(addr).is_err());
+}
+
+/// CPU time (nanoseconds) the server's loop threads have run, from
+/// `/proc/self/task/*/schedstat`. Loop threads are named `gale-serve-{i}`.
+#[cfg(target_os = "linux")]
+fn server_thread_cpu_ns() -> u64 {
+    let mut total = 0;
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let dir = task.unwrap().path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if !comm.starts_with("gale-serve-") {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("schedstat")).unwrap_or_default();
+        total += stat
+            .split_whitespace()
+            .next()
+            .and_then(|ns| ns.parse::<u64>().ok())
+            .unwrap_or(0);
+    }
+    total
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_sleeps_in_the_kernel() {
+    // Two loops, one idle keep-alive connection: loops sleep in the kernel
+    // until a socket, a waker, or a keep-alive deadline is due, so a second
+    // of idleness must cost them well under 10 ms of CPU.
+    let handle = boot(2);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut buf = Vec::new();
+    stream.write_all(&score_request(1, true)).unwrap();
+    assert_eq!(read_one_response(&mut stream, &mut buf).0, 200);
+    let before = server_thread_cpu_ns();
+    assert!(before > 0, "no gale-serve-* threads found");
+    std::thread::sleep(Duration::from_secs(1));
+    let used_ms = (server_thread_cpu_ns() - before) as f64 / 1e6;
+    assert!(
+        used_ms < 10.0,
+        "idle server threads used {used_ms:.1} ms of CPU in 1 s"
+    );
+    drop(stream);
+    handle.shutdown();
 }

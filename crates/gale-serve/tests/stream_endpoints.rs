@@ -215,3 +215,55 @@ fn streamless_server_404s_stream_paths() {
     assert_eq!(status, 400);
     handle.shutdown();
 }
+
+fn metric(addr: std::net::SocketAddr, series: &str) -> f64 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
+}
+
+#[test]
+fn a_node_with_a_non_finite_score_gets_no_verdict() {
+    // Finite but huge attributes are admitted, and overflow the forward
+    // into NaN probabilities. Node-mode `/score` follows the feature
+    // path's rule: a non-finite score is a 500 and a counter, never a
+    // verdict.
+    let handle = serve_with_stream(
+        shard_model(8),
+        &ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        Some(engine(16, 8)),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let (status, doc) = exchange(
+        addr,
+        &request(
+            "POST",
+            "/mutate",
+            r#"{"mutations": [{"op": "add_node", "attrs": [1e308, 1e308, 1e308, 1e308]}]}"#,
+        ),
+    );
+    assert_eq!(status, 200, "mutate failed: {doc:?}");
+    let node = doc["outcomes"][0]["node"]
+        .as_u64()
+        .expect("add_node assigns an id");
+    let before = metric(addr, "serve_nonfinite_scores");
+    let body = format!(r#"{{"nodes": [0, {node}]}}"#);
+    let (status, doc) = exchange(addr, &request("POST", "/score", &body));
+    assert_eq!(status, 500, "a non-finite score became a reply: {doc:?}");
+    assert!(doc.get("verdicts").is_none());
+    assert!(metric(addr, "serve_nonfinite_scores") > before);
+    // Finite nodes keep scoring.
+    let (status, _) = exchange(addr, &request("POST", "/score", r#"{"nodes": [0, 1]}"#));
+    assert_eq!(status, 200);
+    handle.shutdown();
+}

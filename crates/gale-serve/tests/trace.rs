@@ -303,3 +303,63 @@ fn tracing_on_and_off_score_bitwise_identically() {
     }
     assert_eq!(outputs[0], outputs[1], "tracing must not perturb scores");
 }
+
+/// The most a `/score` request's stage timings may leave unaccounted, as a
+/// median over a run, in microseconds. What is left outside the seven
+/// stages is bookkeeping between them (handing the parsed job to the
+/// batch, slicing the scored rows back out); a reply that waited on a
+/// timer or another thread would blow far past it.
+const UNATTRIBUTED_MEDIAN_BOUND_US: u64 = 50;
+
+#[test]
+fn stage_timings_account_for_the_request_total() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    gale_obs::ring::clear();
+    let dim = 8;
+    let handle = serve(tiny_model(dim, 51), &traced_config(ServeMode::EventLoop)).unwrap();
+    let addr = handle.addr();
+    let x = Matrix::randn(4, dim, 1.0, &mut Rng::seed_from_u64(52));
+    let body = score_request_body(&x);
+    let request = format!(
+        "POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    // One keep-alive connection, one request in flight at a time.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut scratch = [0u8; 4096];
+    for _ in 0..200 {
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut got = Vec::new();
+        while !got.windows(4).any(|w| w == b"\r\n\r\n") || !got.ends_with(b"}") {
+            let n = stream.read(&mut scratch).unwrap();
+            assert_ne!(n, 0, "server closed the connection");
+            got.extend_from_slice(&scratch[..n]);
+        }
+        assert!(got.starts_with(b"HTTP/1.1 200"));
+    }
+    drop(stream);
+    let doc = get(addr, "/debug/trace").json();
+    let mut gaps: Vec<i64> = doc["trace"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|r| r["status"].as_u64() == Some(200))
+        .map(|r| {
+            let staged: u64 = STAGE_KEYS.iter().map(|k| r[*k].as_u64().unwrap()).sum();
+            r["total_us"].as_u64().unwrap() as i64 - staged as i64
+        })
+        .collect();
+    assert!(gaps.len() >= 100, "only {} traced replies", gaps.len());
+    gaps.sort_unstable();
+    let median = gaps[gaps.len() / 2];
+    eprintln!(
+        "unattributed us: median {median}, p90 {}",
+        gaps[gaps.len() * 9 / 10]
+    );
+    assert!(
+        median <= UNATTRIBUTED_MEDIAN_BOUND_US as i64,
+        "stages leave a median {median} us of the request total unattributed \
+         (bound {UNATTRIBUTED_MEDIAN_BOUND_US} us)"
+    );
+    handle.shutdown();
+}

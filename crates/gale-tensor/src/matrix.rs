@@ -304,7 +304,8 @@ impl<E: Element> Matrix<E> {
         gemm::record_gemm_counters::<E>(self.rows, self.cols, n);
         // Output rows are independent, so row blocks parallelize with
         // bitwise-identical results on any schedule.
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
+        let flops = 2 * self.rows * self.cols * n;
+        crate::par::par_chunks_mut_sized(&mut out.data, n.max(1), flops, |start, block| {
             let row0 = start / n.max(1);
             gemm::gemm_nn_block(
                 &self.data,
@@ -360,7 +361,8 @@ impl<E: Element> Matrix<E> {
         gemm::record_gemm_counters::<E>(self.cols, self.rows, n);
         // i-outer over output rows (= columns of self) keeps rows
         // independent; each element still accumulates in ascending k.
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
+        let flops = 2 * self.cols * self.rows * n;
+        crate::par::par_chunks_mut_sized(&mut out.data, n.max(1), flops, |start, block| {
             let row0 = start / n.max(1);
             gemm::gemm_tn_block(
                 &self.data,
@@ -392,7 +394,8 @@ impl<E: Element> Matrix<E> {
         out.resize(self.rows, other.rows);
         let n = other.rows;
         gemm::record_gemm_counters::<E>(self.rows, self.cols, n);
-        crate::par::par_chunks_mut(&mut out.data, n.max(1), |start, block| {
+        let flops = 2 * self.rows * self.cols * n;
+        crate::par::par_chunks_mut_sized(&mut out.data, n.max(1), flops, |start, block| {
             let row0 = start / n.max(1);
             gemm::gemm_nt_block(
                 &self.data,

@@ -354,6 +354,31 @@ pub fn par_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec
         .collect()
 }
 
+/// Dense products below this many flops run on the calling thread: waking
+/// the worker pool costs more than it saves. Timing the tiled GEMM alone
+/// and with one worker on a 2-vCPU x86-64 VM, the pool loses up to 131k
+/// flops (a 4x8x16 product takes 0.7 us alone and 3.5 us with the worker
+/// woken; 64x32x32 takes 66 us against 98 us) and first breaks even near
+/// 524k (64x64x64, the L0 kernel bench's smallest `matmul` shape).
+pub const MIN_PAR_FLOPS: usize = 1 << 18;
+
+/// [`par_chunks_mut`] for a loop that costs `flops` in total: below
+/// [`MIN_PAR_FLOPS`] the very same chunks run in order on the calling
+/// thread, so results are bitwise-identical either way and only the
+/// schedule changes.
+pub fn par_chunks_mut_sized<T: Send + Sync>(
+    data: &mut [T],
+    granule: usize,
+    flops: usize,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if flops < MIN_PAR_FLOPS {
+        with_threads(1, || par_chunks_mut(data, granule, body));
+    } else {
+        par_chunks_mut(data, granule, body);
+    }
+}
+
 /// Splits `data` into the deterministic chunking of its `data.len() /
 /// granule` logical rows (chunk boundaries are multiples of `granule`) and
 /// hands each chunk to `body` as `(start_element_index, chunk)`, in

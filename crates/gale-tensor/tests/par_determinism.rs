@@ -51,6 +51,50 @@ fn matmul_identical_across_thread_counts() {
 }
 
 #[test]
+fn sub_grain_matmuls_identical_across_thread_counts() {
+    // Serving-sized products (a few rows through narrow layers) fall below
+    // the parallel grain and run on the calling thread; the result must not
+    // depend on the thread cap, nor on which side of the grain it ran.
+    let mut rng = Rng::seed_from_u64(43);
+    for (m, k, n) in [(4usize, 8usize, 16usize), (64, 16, 8), (3, 24, 12)] {
+        assert!(
+            2 * m * k * n < par::MIN_PAR_FLOPS,
+            "{m}x{k}x{n} is not sub-grain"
+        );
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 1.0, &mut rng);
+        let bt = Matrix::randn(n, k, 1.0, &mut rng);
+        let at = Matrix::randn(k, m, 1.0, &mut rng);
+        let run = |t: usize| {
+            with_threads(t, || {
+                (
+                    bits(a.matmul(&b).data()),
+                    bits(a.matmul_nt(&bt).data()),
+                    bits(at.matmul_tn(&b).data()),
+                )
+            })
+        };
+        let baseline = run(1);
+        for t in THREAD_COUNTS {
+            assert_eq!(run(t), baseline, "{m}x{k}x{n}, {t} threads");
+        }
+        // The same chunked kernel above the grain agrees row for row: tile
+        // the sub-grain product's rows until it crosses the grain.
+        let reps = par::MIN_PAR_FLOPS / (2 * m * k * n) + 1;
+        let mut tall = Matrix::zeros(m * reps, k);
+        for r in 0..m * reps {
+            tall.row_mut(r).copy_from_slice(a.row(r % m));
+        }
+        let big = with_threads(8, || tall.matmul(&b));
+        assert_eq!(
+            bits(&big.data()[..m * n]),
+            baseline.0,
+            "{m}x{k}x{n} vs super-grain"
+        );
+    }
+}
+
+#[test]
 fn kmeans_identical_across_thread_counts() {
     let run = |threads: usize| {
         with_threads(threads, || {
