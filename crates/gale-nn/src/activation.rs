@@ -86,6 +86,26 @@ impl Activation {
         }
     }
 
+    /// [`Activation::apply_e`] over every element of `xs`. The activation
+    /// kind is matched once, outside the loop, so each arm is a
+    /// branch-free loop the compiler can vectorize (a match per element
+    /// keeps the loop branchy, about 4x slower for `LeakyRelu`); the
+    /// per-element expression, and so every bit, is `apply_e`'s.
+    pub fn apply_slice_e<E: Element>(self, xs: &mut [E]) {
+        fn each<E: Element>(xs: &mut [E], f: impl Fn(E) -> E) {
+            for v in xs {
+                *v = f(*v);
+            }
+        }
+        match self {
+            Activation::Relu => each(xs, |x| Activation::Relu.apply_e(x)),
+            Activation::LeakyRelu => each(xs, |x| Activation::LeakyRelu.apply_e(x)),
+            Activation::Tanh => each(xs, |x| Activation::Tanh.apply_e(x)),
+            Activation::Sigmoid => each(xs, |x| Activation::Sigmoid.apply_e(x)),
+            Activation::Identity => {}
+        }
+    }
+
     /// Derivative expressed in terms of the *input* `x` and *output* `y`
     /// (whichever is cheaper per function).
     #[inline]

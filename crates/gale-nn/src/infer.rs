@@ -181,9 +181,7 @@ impl<E: Element> InferNet<E> {
                 }
                 InferLayer::Activation(act) => {
                     out.copy_from(input);
-                    for v in out.data_mut() {
-                        *v = act.apply_e(*v);
-                    }
+                    act.apply_slice_e(out.data_mut());
                 }
                 InferLayer::Identity => {
                     out.copy_from(input);
@@ -240,9 +238,7 @@ impl<E: Element> GcnInferLayer<E> {
     fn forward_into(&mut self, x: &Matrix<E>, out: &mut Matrix<E>) {
         self.s.spmm_lowered_into(x, &mut self.sx);
         x_linear(&self.sx, &self.w, &self.b, out);
-        for v in out.data_mut() {
-            *v = self.act.apply_e(*v);
-        }
+        self.act.apply_slice_e(out.data_mut());
     }
 }
 

@@ -1,11 +1,11 @@
 //! The scorer shards: model replicas, per-tick batching, and hot reload.
 //!
-//! A [`ShardPool`] holds `N` shards. Every shard owns a full model replica
-//! — replicas are built from one parsed checkpoint document, and
-//! checkpoints restore bit-exactly, so all same-precision shards score
-//! bitwise-identically — behind its own lock, plus pooled [`Workspace`]
-//! buffers, so steady-state serving does not allocate. The pool runs no
-//! threads: whoever holds a shard's lock scores on its own thread.
+//! A [`ShardPool`] holds `N` shards. Every shard owns a forward-only
+//! [`SganInfer<E>`] replica — the discriminator alone, lowered from one
+//! decoded model, so all same-precision shards score bitwise-identically —
+//! behind its own lock, plus a pooled [`Workspace<E>`], so steady-state
+//! serving does not allocate. The pool runs no threads: whoever holds a
+//! shard's lock scores on its own thread.
 //!
 //! * The event loop that owns shard `i` gathers one tick's feature jobs
 //!   ([`ShardPool::admit`] bounds them at `queue_capacity`; the rest are
@@ -13,23 +13,22 @@
 //!   at most `max_batch` rows each. This is greedy draining: a batch holds
 //!   exactly what arrived since the previous tick and never waits for
 //!   more.
-//! * Blocking callers ([`ShardPool::score`], [`ShardPool::submit`]) pick
+//! * In-process callers ([`ShardPool::score`], [`ShardPool::submit`]) pick
 //!   the shard with the fewest waiting callers, wait for its lock, and run
 //!   a forward over their own rows. Once `queue_capacity` callers already
 //!   wait on that shard, the call sheds instead.
 //!
 //! Each shard runs at a fixed [`Precision`] chosen at construction
-//! ([`ShardPool::new`]). `F64` shards serve the exact training-precision
-//! replica; `F32` shards serve a one-way [`SganInfer<f32>`] lowering of the
-//! same checkpoint — features are narrowed on batch assembly and
-//! probabilities widened on reply, so the wire format never changes. The
-//! f32 path trades the bitwise-parity guarantee for bandwidth: divergence
-//! against f64 is bounded by the committed tolerance corpus
-//! (`BENCH_precision.json`), and replies stamp their
-//! [`ScoreReply::precision`] so clients can tell.
+//! ([`ShardPool::new`]); it is the replica's element type, and the one
+//! forward body narrows features into it on batch assembly and widens
+//! probabilities back to f64 on reply, so the wire format never changes.
+//! `F64` replicas reproduce `Sgan::probs3_into` bit for bit. `F32` trades
+//! that guarantee for bandwidth: divergence against f64 is bounded by the
+//! committed tolerance corpus (`BENCH_precision.json`), and replies stamp
+//! their [`ScoreReply::precision`] so clients can tell.
 //!
-//! Hot reload ([`ShardPool::reload`]) parses and validates the new
-//! checkpoint *once* on the calling thread, builds one replica per shard in
+//! Hot reload ([`ShardPool::reload`]) decodes and validates the new
+//! checkpoint *once* on the calling thread, lowers it once per shard at
 //! that shard's precision (all-or-nothing — a checkpoint that fails to
 //! decode swaps nothing), then swaps each replica in under that shard's
 //! lock. A forward holds the lock for its whole batch, so every row of any
@@ -39,8 +38,8 @@
 
 use crate::metrics;
 use gale_core::{Sgan, SganInfer};
-use gale_nn::checkpoint::{self, CkptError};
-use gale_tensor::Workspace;
+use gale_nn::checkpoint::CkptError;
+use gale_tensor::{Element, Workspace};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -54,7 +53,7 @@ pub struct BatchConfig {
     /// of at most this many rows (a single larger job runs alone).
     pub max_batch: usize,
     /// Jobs a shard accepts per tick (event loop) or lets wait for its
-    /// lock (blocking callers); jobs beyond it are shed.
+    /// lock (in-process callers); jobs beyond it are shed.
     pub queue_capacity: usize,
 }
 
@@ -69,18 +68,19 @@ impl Default for BatchConfig {
 
 /// Arithmetic width a scorer shard runs its forward passes at.
 ///
+/// Every shard serves a one-way inference lowering of the checkpoint.
 /// `F64` is the training precision: bitwise-identical to calling the
-/// checkpointed model in process. `F32` serves a one-way inference
-/// lowering — roughly twice the effective memory bandwidth on this repo's
-/// GEMM and distance kernels, deterministic per-precision (fixed 16-lane
-/// reduction chains, thread-count invariant) but *not* bit-equal to f64;
-/// its divergence is bounded by the committed tolerance baseline.
+/// checkpointed model in process. `F32` has roughly twice the effective
+/// memory bandwidth on this repo's GEMM and distance kernels,
+/// deterministic per-precision (fixed 16-lane reduction chains,
+/// thread-count invariant) but *not* bit-equal to f64; its divergence is
+/// bounded by the committed tolerance baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double precision — the default, bit-exact with training.
     #[default]
     F64,
-    /// Single precision — lowered inference replicas.
+    /// Single precision.
     F32,
 }
 
@@ -102,6 +102,15 @@ impl Precision {
         }
     }
 
+    /// The precision of element type `E`.
+    fn of<E: Element>() -> Precision {
+        if E::BITS == 32 {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
+    }
+
     /// Mantissa-carrying width in bits (64 or 32); what `/metrics` and
     /// wide events report.
     pub fn bits(self) -> u32 {
@@ -115,45 +124,6 @@ impl Precision {
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// A shard's model replica at its serving precision.
-///
-/// `F64` holds the full trainable model (bit-exact with the checkpoint);
-/// `F32` holds the forward-only lowered replica. Reload rebuilds whichever
-/// variant the shard already runs, always from the same validated f64
-/// checkpoint document.
-enum ShardModel {
-    /// The training-precision replica.
-    F64(Box<Sgan>),
-    /// The lowered single-precision inference replica.
-    F32(Box<SganInfer<f32>>),
-}
-
-impl ShardModel {
-    /// Builds the replica for `precision` from a decoded f64 model.
-    fn lower(model: Sgan, precision: Precision) -> ShardModel {
-        match precision {
-            Precision::F64 => ShardModel::F64(Box::new(model)),
-            Precision::F32 => ShardModel::F32(Box::new(model.to_f32())),
-        }
-    }
-
-    /// Input dimension the replica expects.
-    fn input_dim(&self) -> usize {
-        match self {
-            ShardModel::F64(m) => m.input_dim(),
-            ShardModel::F32(m) => m.input_dim(),
-        }
-    }
-
-    /// The precision this replica scores at.
-    fn precision(&self) -> Precision {
-        match self {
-            ShardModel::F64(_) => Precision::F64,
-            ShardModel::F32(_) => Precision::F32,
-        }
     }
 }
 
@@ -267,38 +237,56 @@ pub struct ShardSnapshot {
     pub precision: Precision,
 }
 
-/// A shard's replica and its scoring buffers; lives behind the shard lock.
-struct Replica {
-    model: ShardModel,
+/// The one interface a shard scores through: a replica at a fixed
+/// precision, behind the shard lock.
+trait Scorer: Send {
+    /// One forward over `batch` (`rows` rows in all), pushing one reply per
+    /// job onto `out`.
+    fn forward(
+        &mut self,
+        shard: u32,
+        batch: &[Job],
+        rows: usize,
+        stats: &ShardStats,
+        out: &mut Vec<ScoreReply>,
+    );
+}
+
+/// Builds a shard's replica of a decoded model at the given version; picked
+/// once per shard, at construction, from its precision.
+type Lower = fn(&Sgan, u64) -> Box<dyn Scorer>;
+
+/// A shard's forward-only replica over element `E` and its scoring
+/// buffers; lives behind the shard lock.
+struct Replica<E: Element> {
+    model: SganInfer<E>,
     version: u64,
-    /// One buffer pool per precision; only the pool matching the replica's
-    /// precision is ever exercised, the other stays empty.
-    ws64: Workspace<f64>,
-    ws32: Workspace<f32>,
+    ws: Workspace<E>,
     /// Widened probabilities of the current batch, reused across batches
-    /// so the f32 path's widen step does not allocate either.
+    /// so the widen step does not allocate.
     scored: Vec<f64>,
     /// Workspace `(hits, misses)` already mirrored into `/metrics`.
     reported: (u64, u64),
 }
 
-impl Replica {
-    fn new(model: ShardModel) -> Replica {
-        Replica {
-            model,
-            version: INITIAL_VERSION,
-            ws64: Workspace::new(),
-            ws32: Workspace::new(),
+impl<E: Element> Replica<E> {
+    /// Lowers `model` into an `E` replica scoring as model generation
+    /// `version`.
+    fn lower(model: &Sgan, version: u64) -> Box<dyn Scorer> {
+        Box::new(Replica {
+            model: model.to_infer::<E>(),
+            version,
+            ws: Workspace::<E>::new(),
             scored: Vec::new(),
             reported: (0, 0),
-        }
+        })
     }
+}
 
-    /// One forward over `batch` (`rows` rows in all) through the pooled
-    /// buffers of the replica's precision, pushing one reply per job onto
-    /// `out`. The f32 arm narrows features during assembly and widens
-    /// probabilities right after the forward, so everything downstream
-    /// stays f64.
+impl<E: Element> Scorer for Replica<E> {
+    /// Features are narrowed to `E` during assembly and probabilities
+    /// widened back right after the forward, so everything downstream stays
+    /// f64 (both conversions are the identity for `f64` replicas).
     fn forward(
         &mut self,
         shard: u32,
@@ -314,65 +302,39 @@ impl Replica {
         let Replica {
             model,
             version,
-            ws64,
-            ws32,
+            ws,
             scored,
             reported,
         } = self;
-        let dim = model.input_dim();
-        let precision = model.precision();
-        let forward_started;
-        let forward_us;
-        scored.clear();
-        match model {
-            ShardModel::F64(m) => {
-                let mut input = ws64.take(rows, dim);
-                let mut offset = 0usize;
-                for job in batch {
-                    input.data_mut()[offset..offset + job.features.len()]
-                        .copy_from_slice(&job.features);
-                    offset += job.features.len();
-                }
-                let mut probs = ws64.take(rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&input, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend_from_slice(probs.data());
-                ws64.give(input);
-                ws64.give(probs);
+        let mut input = ws.take(rows, model.input_dim());
+        let mut offset = 0usize;
+        for job in batch {
+            let dst = &mut input.data_mut()[offset..offset + job.features.len()];
+            for (d, &s) in dst.iter_mut().zip(&job.features) {
+                *d = E::from_f64(s);
             }
-            ShardModel::F32(m) => {
-                let mut input = ws32.take(rows, dim);
-                let mut offset = 0usize;
-                for job in batch {
-                    let dst = &mut input.data_mut()[offset..offset + job.features.len()];
-                    for (d, &s) in dst.iter_mut().zip(&job.features) {
-                        *d = s as f32;
-                    }
-                    offset += job.features.len();
-                }
-                let mut probs = ws32.take(rows, 3);
-                forward_started = Instant::now();
-                m.probs3_into(&input, &mut probs);
-                forward_us = us32(forward_started.elapsed());
-                scored.extend(probs.data().iter().map(|&v| v as f64));
-                ws32.give(input);
-                ws32.give(probs);
-            }
+            offset += job.features.len();
         }
+        let mut probs = ws.take(rows, 3);
+        let forward_started = Instant::now();
+        model.probs3_into(&input, &mut probs);
+        let forward_us = us32(forward_started.elapsed());
+        scored.clear();
+        scored.extend(probs.data().iter().map(|&v| v.to_f64()));
+        ws.give(input);
+        ws.give(probs);
         metrics::batches().add(1);
         metrics::rows().add(rows as u64);
         metrics::batch_rows().record(rows as f64);
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.last_batch_rows.store(rows as u64, Ordering::Relaxed);
         stats.last_batch_version.store(*version, Ordering::Relaxed);
-        let (h64, m64) = ws64.stats();
-        let (h32, m32) = ws32.stats();
-        let (hits, misses) = (h64 + h32, m64 + m32);
+        let (hits, misses) = ws.stats();
         metrics::pool_hits().add(hits - reported.0);
         metrics::pool_misses().add(misses - reported.1);
         *reported = (hits, misses);
 
+        let precision = Precision::of::<E>();
         let assembly_us = us32(forward_started.duration_since(picked));
         let mut row0 = 0usize;
         for job in batch {
@@ -399,7 +361,9 @@ impl Replica {
 
 /// One shard: its locked replica and live counters.
 struct Shard {
-    replica: Mutex<Replica>,
+    replica: Mutex<Box<dyn Scorer>>,
+    /// Builds this shard's replicas (fixed precision) on reload.
+    lower: Lower,
     /// Jobs admitted and not yet picked into a forward.
     depth: AtomicI64,
     stats: ShardStats,
@@ -411,7 +375,7 @@ impl Shard {
     /// cannot leave the replica half-updated (a forward only overwrites
     /// scratch buffers, and a swap is a single assignment), so the poison
     /// is cleared rather than propagated.
-    fn lock(&self) -> MutexGuard<'_, Replica> {
+    fn lock(&self) -> MutexGuard<'_, Box<dyn Scorer>> {
         self.replica.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -429,10 +393,10 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Builds one shard per entry of `precisions` (empty means one `f64`
-    /// shard), each holding a replica of `model` lowered to that shard's
-    /// precision. `F64` shards are bit-exact with the checkpoint (and with
-    /// each other); `F32` shards serve the one-way [`SganInfer<f32>`]
-    /// lowering.
+    /// shard), each holding a [`SganInfer`] lowering of `model` at that
+    /// shard's precision. `F64` shards are bit-exact with the model (and
+    /// with each other); `F32` shards track it within the committed
+    /// tolerance.
     pub fn new(model: Sgan, precisions: &[Precision], cfg: &BatchConfig) -> Arc<ShardPool> {
         metrics::register_all();
         let precisions: &[Precision] = if precisions.is_empty() {
@@ -440,48 +404,30 @@ impl ShardPool {
         } else {
             precisions
         };
-        let input_dim = model.input_dim();
-        // The trainable f64 model moves into the first f64 shard; every
-        // other replica (and every f32 lowering) comes from one encoded
-        // checkpoint document, which restores bit-exactly.
-        let doc = if precisions.len() > 1 || precisions[0] == Precision::F32 {
-            Some(
-                model
-                    .to_json()
-                    .expect("serializing a live model cannot fail"),
-            )
-        } else {
-            None
-        };
-        let mut model = Some(model);
-        let mut shards = Vec::with_capacity(precisions.len());
-        for (i, &precision) in precisions.iter().enumerate() {
-            let proto = match (precision, model.take()) {
-                (Precision::F64, Some(m)) => m,
-                (precision, taken) => {
-                    // An f32 shard lowers a decoded copy and leaves the
-                    // original for a later f64 shard.
-                    if precision == Precision::F32 {
-                        model = taken;
-                    }
-                    Sgan::from_json(doc.as_ref().expect("doc built for extra shards"))
-                        .expect("re-decoding a just-encoded model cannot fail")
+        let shards = precisions
+            .iter()
+            .enumerate()
+            .map(|(i, &precision)| {
+                metrics::shard_precision(i).set(precision.bits() as f64);
+                let lower: Lower = match precision {
+                    Precision::F64 => Replica::<f64>::lower,
+                    Precision::F32 => Replica::<f32>::lower,
+                };
+                Shard {
+                    replica: Mutex::new(lower(&model, INITIAL_VERSION)),
+                    lower,
+                    depth: AtomicI64::new(0),
+                    stats: ShardStats::default(),
+                    precision,
                 }
-            };
-            metrics::shard_precision(i).set(precision.bits() as f64);
-            shards.push(Shard {
-                replica: Mutex::new(Replica::new(ShardModel::lower(proto, precision))),
-                depth: AtomicI64::new(0),
-                stats: ShardStats::default(),
-                precision,
-            });
-        }
+            })
+            .collect();
         metrics::model_version().set(INITIAL_VERSION as f64);
         Arc::new(ShardPool {
             shards,
             rr: AtomicUsize::new(0),
             version: AtomicU64::new(INITIAL_VERSION),
-            input_dim,
+            input_dim: model.input_dim(),
             cfg: cfg.clone(),
             reload_lock: Mutex::new(()),
         })
@@ -617,8 +563,8 @@ impl ShardPool {
     }
 
     /// Loads, validates, and swaps a new checkpoint into every shard. File
-    /// IO, JSON parsing, and replica construction happen on the calling
-    /// thread; each shard's lock is held only for the pointer swap.
+    /// IO, decoding, and the per-shard lowering happen on the calling
+    /// thread; each shard's lock is held only for the swap.
     ///
     /// All-or-nothing: any read/decode/validation failure returns the typed
     /// error *before* any shard has been touched, and the old model keeps
@@ -628,35 +574,24 @@ impl ShardPool {
             .reload_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        // Parse once, decode once per shard: every replica comes from the
-        // same document, so all same-precision shards restore
-        // bit-identically. F32 shards get the validated f64 decode lowered
-        // into their width — the checkpoint format itself stays f64-only.
-        let doc = checkpoint::read_file(path.as_ref())?;
-        let mut replicas = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            replicas.push(ShardModel::lower(Sgan::from_json(&doc)?, shard.precision));
-        }
-        let found = replicas[0].input_dim();
-        if found != self.input_dim {
+        // Decode once, lower per shard: all same-precision shards get the
+        // same bits, and the checkpoint format itself stays f64-only.
+        let model = Sgan::load(path)?;
+        if model.input_dim() != self.input_dim {
             return Err(ReloadError::DimMismatch {
                 expected: self.input_dim,
-                found,
+                found: model.input_dim(),
             });
         }
         let new_version = self.version.load(Ordering::SeqCst) + 1;
-        for (shard, model) in self.shards.iter().zip(replicas) {
-            debug_assert_eq!(
-                model.precision(),
-                shard.precision,
-                "swap must keep the shard's width"
-            );
+        let replicas: Vec<Box<dyn Scorer>> = self
+            .shards
+            .iter()
+            .map(|shard| (shard.lower)(&model, new_version))
+            .collect();
+        for (shard, replica) in self.shards.iter().zip(replicas) {
             // The old replica drops after the lock is released.
-            let _old = {
-                let mut replica = shard.lock();
-                replica.version = new_version;
-                std::mem::replace(&mut replica.model, model)
-            };
+            let _old = std::mem::replace(&mut *shard.lock(), replica);
         }
         self.version.store(new_version, Ordering::SeqCst);
         metrics::model_version().set(new_version as f64);
@@ -670,7 +605,7 @@ pub const INITIAL_VERSION: u64 = 1;
 
 /// Clamps a duration to microseconds in a `u32` (saturating: a >71-minute
 /// stage is pinned, not wrapped).
-fn us32(d: Duration) -> u32 {
+pub(crate) fn us32(d: Duration) -> u32 {
     d.as_micros().min(u32::MAX as u128) as u32
 }
 

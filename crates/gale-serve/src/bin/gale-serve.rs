@@ -5,20 +5,24 @@
 //! - `gale-serve train-demo --out model.ckpt [--dim N] [--seed S]` — trains
 //!   a small SGAN on synthetic two-cluster data and writes a checkpoint, so
 //!   the serving path can be exercised without a full pipeline run.
+//! - `gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]` —
+//!   trains the streaming artifact set over a synthetic community graph and
+//!   writes a stream bundle.
 //! - `gale-serve serve --ckpt model.ckpt [--addr HOST:PORT] [--shards N]
-//!   [--precision f64|f32[,per-shard list]] [--mode evloop|blocking]
-//!   [--max-batch N] [--queue-capacity N]` — loads the checkpoint and
-//!   serves `/score`, `/healthz`, `/metrics`, `/admin/reload`, and the
-//!   `/debug/{trace,slow,queues}` introspection endpoints until
-//!   `POST /admin/shutdown` drains it. `--trace off` switches request tracing off;
-//!   `--trace-sample`/`--trace-slow-us` tune the sampling policy.
+//!   [--precision f64|f32[,per-shard list]] [--max-batch N]
+//!   [--queue-capacity N] [--stream DIR]` — loads the checkpoint and serves
+//!   `/score`, `/healthz`, `/metrics`, `/admin/reload`, and the
+//!   `/debug/{trace,slow,queues}` introspection endpoints from one event
+//!   loop per shard until `POST /admin/shutdown` drains it. `--trace off`
+//!   switches request tracing off; `--trace-sample`/`--trace-slow-us` tune
+//!   the sampling policy.
 //! - `gale-serve reload --addr HOST:PORT --ckpt PATH` — asks a running
 //!   server to hot-swap to a new checkpoint and reports the new model
 //!   version.
 
 use gale_core::{ColumnStandardizer, Sgan, SganConfig};
 use gale_json::json;
-use gale_serve::{serve_with_stream, BatchConfig, Precision, ServeConfig, ServeMode};
+use gale_serve::{serve_with_stream, BatchConfig, Precision, ServeConfig};
 use gale_stream::{load_bundle, save_bundle, StreamConfig};
 use gale_tensor::{Matrix, Rng, SparseMatrix, SymNormalized};
 use std::io::{Read, Write};
@@ -53,7 +57,7 @@ USAGE:
   gale-serve train-demo --out PATH [--dim N] [--seed S]
   gale-serve stream-demo --out DIR [--nodes N] [--dim D] [--seed S]
   gale-serve serve --ckpt PATH [--addr HOST:PORT] [--shards N]
-                   [--precision f64|f32[,f32,..]] [--mode evloop|blocking]
+                   [--precision f64|f32[,f32,..]]
                    [--max-batch N] [--queue-capacity N]
                    [--retry-after-secs S] [--keep-alive-secs S]
                    [--trace on|off] [--trace-sample N] [--trace-slow-us U]
@@ -69,7 +73,6 @@ and writes a stream bundle; `serve --stream DIR` boots that bundle so
 requests it read in one tick on its own replica, in forwards of at most
 `--max-batch` rows, without waiting for more to arrive. Requests beyond
 `--queue-capacity` in one tick are shed with 503 + Retry-After.
-`--mode blocking` serves one request per connection thread instead.
 ";
 
 /// Pulls `--flag value` pairs out of `args`; rejects unknown flags.
@@ -263,7 +266,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--addr",
             "--shards",
             "--precision",
-            "--mode",
             "--max-batch",
             "--queue-capacity",
             "--retry-after-secs",
@@ -275,15 +277,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let ckpt = find(&flags, "--ckpt").ok_or("serve requires --ckpt PATH")?;
-    let mode = match find(&flags, "--mode").unwrap_or("evloop") {
-        "evloop" => ServeMode::EventLoop,
-        "blocking" => ServeMode::Blocking,
-        other => {
-            return Err(format!(
-                "flag `--mode` wants evloop|blocking, got `{other}`"
-            ))
-        }
-    };
     // `--precision f32` runs every shard single-precision; a comma list
     // (`--precision f64,f32`) names one precision per shard, in order.
     let precision: Vec<Precision> = match find(&flags, "--precision") {
@@ -317,7 +310,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         retry_after_secs: parse_num(&flags, "--retry-after-secs", 1u32)?,
         shards: parse_num(&flags, "--shards", 1usize)?.max(1),
         precision,
-        mode,
         keep_alive_secs: parse_num(&flags, "--keep-alive-secs", 60u64)?,
         trace,
         trace_sample: parse_num(&flags, "--trace-sample", defaults.trace_sample)?,

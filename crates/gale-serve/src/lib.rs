@@ -2,8 +2,9 @@
 //! inference server for checkpointed GALE SGAN discriminators.
 //!
 //! The server loads a [`gale_core::Sgan`] from a `gale-checkpoint` file,
-//! replicates it across N scorer shards (each replica bit-exact with the
-//! source checkpoint), and exposes plain HTTP/1.1 endpoints:
+//! lowers its discriminator into a forward-only [`gale_core::SganInfer`]
+//! replica per scorer shard (f64 replicas bit-exact with the source
+//! checkpoint), and exposes plain HTTP/1.1 endpoints:
 //!
 //! - `POST /score` — a JSON batch of feature rows, answered with per-class
 //!   probabilities, renormalized error scores, error/correct verdicts, and
@@ -33,12 +34,11 @@
 //! default (`--trace off` disables it); its overhead against a
 //! tracing-off server is gated in CI at a few percent of p99.
 //!
-//! The default front end is one hand-rolled non-blocking event loop per
-//! shard (keep-alive + pipelined connections), and each loop scores its
-//! own tick's requests on its own replica: there is no hand-off to another
-//! thread, no batching linger, and no poll tick on the `/score` path.
-//! `--mode blocking` keeps a thread-per-connection front end. Jobs beyond
-//! a shard's queue capacity are shed with `503` + `Retry-After`.
+//! The one front end is a hand-rolled non-blocking event loop per shard
+//! (keep-alive + pipelined connections), and each loop scores its own
+//! tick's requests on its own replica: there is no hand-off to another
+//! thread, no batching linger, and no poll tick on the `/score` path. Jobs
+//! beyond a shard's queue capacity are shed with `503` + `Retry-After`.
 
 // `deny` rather than `forbid`: `poll` (the `poll(2)` wrapper the event
 // loops wait in) carries a scoped allowance for its one audited unsafe
@@ -57,5 +57,5 @@ pub use batcher::{
     BatchConfig, Job, Precision, ReloadError, ScoreReply, ShardPool, ShardSnapshot, SubmitError,
     INITIAL_VERSION,
 };
-pub use server::{serve, serve_with_stream, ServeConfig, ServeMode, ServerHandle};
+pub use server::{serve, serve_with_stream, ServeConfig, ServerHandle};
 pub use stream::StreamState;

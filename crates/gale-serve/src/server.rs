@@ -1,28 +1,23 @@
 //! Connection handling, request routing, hot reload, and the
 //! graceful-shutdown protocol.
 //!
-//! Two connection modes share the shard pool and the endpoint logic:
+//! Every shard is an event-loop thread that owns its replica. `--shards N`
+//! runs N loops polling the one shared listener; accepted connections are
+//! dealt round-robin across the loops, and each loop owns its connections
+//! from then on as nonblocking std `TcpStream`s (no mio/tokio, like the
+//! rest of the stack). Connections are keep-alive and may pipeline
+//! requests; responses always leave in request order. Each tick a loop
+//! blocks in `poll(2)` until a socket or its waker is ready, then
 //!
-//! * [`ServeMode::EventLoop`] (default) — every shard is an event-loop
-//!   thread that owns its replica. `--shards N` runs N loops polling the
-//!   one shared listener; accepted connections are dealt round-robin
-//!   across the loops, and each loop owns its connections from then on as
-//!   nonblocking std `TcpStream`s (no mio/tokio, like the rest of the
-//!   stack). Connections are keep-alive and may pipeline requests;
-//!   responses always leave in request order. Each tick a loop blocks in
-//!   `poll(2)` until a socket or its waker is ready, then
-//!   1. reads and parses every ready connection,
-//!   2. scores that tick's feature jobs on its own thread, in forwards of
-//!      at most `max_batch` rows (jobs beyond `queue_capacity` in one tick
-//!      answer `503` + `Retry-After`), and
-//!   3. renders and writes the replies.
+//! 1. reads and parses every ready connection ([`http::parse_request`] is
+//!    the one HTTP decoder),
+//! 2. scores that tick's feature jobs on its own thread, in forwards of at
+//!    most `max_batch` rows (jobs beyond `queue_capacity` in one tick
+//!    answer `503` + `Retry-After`), and
+//! 3. renders and writes the replies.
 //!
-//!   There is no linger and no poll tick: a loop sleeps in the kernel
-//!   until there is work, and scores exactly what arrived.
-//! * [`ServeMode::Blocking`] — a blocking accept loop spawning a
-//!   short-lived thread per connection, one request per connection,
-//!   `Connection: close`. Each connection thread takes a shard's lock and
-//!   scores on its own thread.
+//! There is no linger and no poll tick: a loop sleeps in the kernel until
+//! there is work, and scores exactly what arrived.
 //!
 //! `POST /admin/reload` loads a new checkpoint *off* the loops (a worker
 //! thread does the file IO and validation), swaps it into every shard under
@@ -35,7 +30,7 @@
 //! are flushed.
 
 use crate::batcher::{
-    BatchConfig, Job, Precision, ReloadError, ScoreReply, ShardPool, SubmitError,
+    us32, BatchConfig, Job, Precision, ReloadError, ScoreReply, ShardPool, SubmitError,
 };
 use crate::http::{self, HttpError, Request};
 use crate::metrics;
@@ -55,16 +50,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Connection-handling architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One non-blocking event loop per shard, keep-alive + pipelined
-    /// HTTP/1.1.
-    EventLoop,
-    /// Blocking thread-per-connection, one request per connection.
-    Blocking,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -75,15 +60,13 @@ pub struct ServeConfig {
     /// Value of the `Retry-After` header on shed (`503`) responses,
     /// seconds.
     pub retry_after_secs: u32,
-    /// Scorer shards, each owning a bit-exact model replica (and, in
-    /// event-loop mode, the loop thread that scores on it).
+    /// Scorer shards, each owning a model replica and the event-loop
+    /// thread that scores on it.
     pub shards: usize,
     /// Per-shard serving precision. Empty runs every shard at `f64` (the
     /// bit-exact default); one entry broadcasts to every shard; otherwise
     /// the list must name one precision per shard, in shard order.
     pub precision: Vec<Precision>,
-    /// Connection-handling architecture.
-    pub mode: ServeMode,
     /// Idle keep-alive connections are closed after this many seconds.
     pub keep_alive_secs: u64,
     /// Whether per-request tracing (wide events into the `/debug/trace`
@@ -107,7 +90,6 @@ impl Default for ServeConfig {
             retry_after_secs: 1,
             shards: 1,
             precision: Vec::new(),
-            mode: ServeMode::EventLoop,
             keep_alive_secs: 60,
             trace: true,
             trace_sample: policy.sample_every,
@@ -121,12 +103,10 @@ struct Ctx {
     pool: Arc<ShardPool>,
     shutdown: AtomicBool,
     retry_after: String,
-    mode: ServeMode,
     started: Instant,
     /// Streaming engine, present when the server booted with a bundle.
     stream: Option<StreamState>,
-    /// One waker per serving thread that waits in `poll(2)`: each event
-    /// loop, or the blocking accept loop.
+    /// One waker per event loop (each waits in `poll(2)`).
     wakers: Vec<Arc<Waker>>,
     /// Connections accepted by one loop on behalf of another, per loop.
     inboxes: Vec<Mutex<Vec<TcpStream>>>,
@@ -223,37 +203,27 @@ pub fn serve_with_stream(
             ))
         }
     };
-    let loops = match cfg.mode {
-        ServeMode::EventLoop => shards,
-        ServeMode::Blocking => 1,
-    };
     let ctx = Arc::new(Ctx {
         pool: ShardPool::new(model, &precisions, &cfg.batch),
         shutdown: AtomicBool::new(false),
         retry_after: cfg.retry_after_secs.to_string(),
-        mode: cfg.mode,
         started: Instant::now(),
         stream: stream.map(StreamState::new),
-        wakers: (0..loops)
+        wakers: (0..shards)
             .map(|_| Waker::new().map(Arc::new))
             .collect::<std::io::Result<_>>()?,
-        inboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
+        inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         next_conn: AtomicUsize::new(0),
     });
 
     let listener = Arc::new(listener);
     let keep_alive = Duration::from_secs(cfg.keep_alive_secs.max(1));
-    let mut threads = Vec::with_capacity(loops);
-    for shard in 0..loops {
+    let mut threads = Vec::with_capacity(shards);
+    for shard in 0..shards {
         let (loop_ctx, listener) = (ctx.clone(), listener.clone());
-        let spawned = match cfg.mode {
-            ServeMode::EventLoop => std::thread::Builder::new()
-                .name(format!("gale-serve-{shard}"))
-                .spawn(move || EventLoop::new(shard, listener, loop_ctx, keep_alive).run()),
-            ServeMode::Blocking => std::thread::Builder::new()
-                .name("gale-serve-accept".into())
-                .spawn(move || blocking_accept_loop(&listener, loop_ctx)),
-        };
+        let spawned = std::thread::Builder::new()
+            .name(format!("gale-serve-{shard}"))
+            .spawn(move || EventLoop::new(shard, listener, loop_ctx, keep_alive).run());
         match spawned {
             Ok(handle) => threads.push(handle),
             Err(e) => {
@@ -263,27 +233,21 @@ pub fn serve_with_stream(
         }
     }
     gale_obs::info!(
-        "gale-serve listening on http://{addr} ({} shard{} [{}], {:?} mode)",
+        "gale-serve listening on http://{addr} ({} shard{} [{}])",
         precisions.len(),
         if precisions.len() == 1 { "" } else { "s" },
         precisions
             .iter()
             .map(|p| p.as_str())
             .collect::<Vec<_>>()
-            .join(","),
-        cfg.mode
+            .join(",")
     );
     Ok(ServerHandle { addr, ctx, threads })
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint logic (shared by both connection modes)
+// Endpoint logic
 // ---------------------------------------------------------------------------
-
-/// Clamps a duration to microseconds in a `u32` (saturating).
-fn us32(d: Duration) -> u32 {
-    d.as_micros().min(u32::MAX as u128) as u32
-}
 
 /// Connection-side timing captured before a request reaches the endpoint
 /// logic. Only built while request tracing is on — with tracing off the
@@ -380,13 +344,13 @@ fn internal_error(msg: &str, request_id: Option<u64>, keep_alive: bool) -> Vec<u
     http::render_json(500, "Internal Server Error", &[], &body, keep_alive)
 }
 
-/// Routes one request. `waker` belongs to the event loop handling it (if
-/// any), so work finished on another thread can wake that loop.
+/// Routes one request. `waker` belongs to the event loop handling it, so
+/// work finished on another thread can wake that loop.
 fn handle_request(
     request: &Request,
     ctx: &Ctx,
     timing: Option<ReqTiming>,
-    waker: Option<&Arc<Waker>>,
+    waker: &Arc<Waker>,
 ) -> Outcome {
     let ka = request.keep_alive;
     match (request.method.as_str(), request.path.as_str()) {
@@ -488,7 +452,6 @@ fn handle_request(
                     &json!({
                         "uptime_secs": ctx.started.elapsed().as_secs(),
                         "model_version": Value::Int(ctx.pool.version() as i64),
-                        "mode": format!("{:?}", ctx.mode),
                         "shards": Value::Array(shards),
                     }),
                     ka,
@@ -514,7 +477,6 @@ fn handle_request(
                             .map(|p| Value::from(p.as_str()))
                             .collect(),
                     ),
-                    "mode": format!("{:?}", ctx.mode),
                 }),
                 ka,
             ),
@@ -686,7 +648,7 @@ pub(crate) fn nonfinite_response(
 /// and the shard swaps all happen on the worker thread — the event loops
 /// stay on their hot path — and the worker wakes the requesting loop
 /// (`waker`) once the result is in.
-fn reload_request(request: &Request, ctx: &Ctx, waker: Option<&Arc<Waker>>) -> Outcome {
+fn reload_request(request: &Request, ctx: &Ctx, waker: &Arc<Waker>) -> Outcome {
     let ka = request.keep_alive;
     let path = std::str::from_utf8(&request.body)
         .ok()
@@ -706,7 +668,7 @@ fn reload_request(request: &Request, ctx: &Ctx, waker: Option<&Arc<Waker>>) -> O
     };
     let (tx, done) = mpsc::channel();
     let pool = ctx.pool.clone();
-    let waker = waker.cloned();
+    let waker = waker.clone();
     let spawned = std::thread::Builder::new()
         .name("gale-serve-reload".into())
         .spawn(move || {
@@ -719,9 +681,7 @@ fn reload_request(request: &Request, ctx: &Ctx, waker: Option<&Arc<Waker>>) -> O
                 }
             }
             let _ = tx.send(result);
-            if let Some(waker) = waker {
-                waker.wake();
-            }
+            waker.wake();
         });
     match spawned {
         Ok(_) => Outcome::Reload {
@@ -787,7 +747,7 @@ fn render_reload_result(result: Result<u64, ReloadError>, keep_alive: bool) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop mode
+// The event loop
 // ---------------------------------------------------------------------------
 
 /// Cap on unanswered pipelined requests per connection; parsing pauses
@@ -1092,7 +1052,6 @@ impl EventLoop {
                     conn.rbuf.clear();
                     break;
                 }
-                Err(HttpError::Io(_)) => unreachable!("buffer parsing does no IO"),
             };
             conn.rbuf.drain(..consumed);
             let timing = parse_started.map(|parse_started| {
@@ -1110,10 +1069,8 @@ impl EventLoop {
             });
             let keep = request.keep_alive;
             let waker = &self.ctx.wakers[self.shard];
-            let outcome = isolate(keep, || {
-                handle_request(&request, &self.ctx, timing, Some(waker))
-            })
-            .unwrap_or_else(|bytes| Outcome::Ready(bytes, None));
+            let outcome = isolate(keep, || handle_request(&request, &self.ctx, timing, waker))
+                .unwrap_or_else(|bytes| Outcome::Ready(bytes, None));
             let pending = match outcome {
                 Outcome::Ready(bytes, trace) => Pending::Ready(bytes, trace),
                 Outcome::Score { features, mut meta } => match self.ctx.pool.admit(self.shard) {
@@ -1293,113 +1250,6 @@ fn resolve_and_write(conn: &mut Conn) {
     if conn.flushed() && !conn.wbuf.is_empty() {
         conn.wbuf.clear();
         conn.wpos = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blocking mode
-// ---------------------------------------------------------------------------
-
-fn blocking_accept_loop(listener: &TcpListener, ctx: Arc<Ctx>) {
-    let waker = &ctx.wakers[0];
-    let mut poller = Poller::new();
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        poller.clear();
-        poller.add(waker.fd(), true, false);
-        poller.add(fd_of(listener), true, false);
-        if let Err(e) = poller.wait(None) {
-            gale_obs::warn!("gale-serve poll failed: {e}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        waker.drain();
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let ctx = ctx.clone();
-                    handlers.push(std::thread::spawn(move || {
-                        handle_blocking_connection(stream, &ctx)
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    gale_obs::warn!("gale-serve accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                    break;
-                }
-            }
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    // Drain: finish in-flight connections.
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-fn handle_blocking_connection(mut stream: TcpStream, ctx: &Ctx) {
-    // A stalled or hostile peer must not pin the drain forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let tracing = ring::tracing_enabled();
-    let started = tracing.then(Instant::now);
-    let request = match http::read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::Malformed(msg)) => {
-            let _ = http::write_json(&mut stream, 400, "Bad Request", &[], &json!({"error": msg}));
-            return;
-        }
-        Err(HttpError::Io(_)) => return,
-    };
-    // Blocking mode reads and head-parses in one call, so the read stage
-    // covers both; `parse_us` is the feature parsing alone.
-    let timing = started.map(|started| ReqTiming {
-        started,
-        read_us: us32(started.elapsed()),
-        parse_started: Instant::now(),
-    });
-    let answered = isolate(false, || {
-        match handle_request(&request, ctx, timing, None) {
-            Outcome::Ready(bytes, trace) => (bytes, trace),
-            Outcome::Score { features, meta } => match ctx.pool.score(features, meta.rows) {
-                Ok(reply) => render_scored(meta, &reply),
-                Err(SubmitError::Overloaded) => shed_response(meta, ctx),
-            },
-            Outcome::Reload { done, .. } => match done.recv() {
-                Ok(result) => (render_reload_result(result, false), None),
-                Err(_) => (internal_error("reload worker died", None, false), None),
-            },
-        }
-    });
-    let (bytes, trace) = answered.unwrap_or_else(|bytes| (bytes, None));
-    // Blocking mode is one-request-per-connection: force `close` framing
-    // regardless of what the client asked for.
-    let bytes = force_connection_close(bytes);
-    if let Err(e) = stream.write_all(&bytes).and_then(|_| stream.flush()) {
-        gale_obs::warn!("gale-serve response write failed: {e}");
-        return;
-    }
-    if let Some(state) = trace {
-        finish_trace(*state);
-    }
-}
-
-/// Rewrites a rendered response's `Connection: keep-alive` header to
-/// `close` (blocking mode never keeps connections open).
-fn force_connection_close(bytes: Vec<u8>) -> Vec<u8> {
-    const KEEP: &[u8] = b"Connection: keep-alive\r\n";
-    if let Some(pos) = bytes
-        .windows(KEEP.len())
-        .position(|w| w == KEEP)
-        .filter(|&pos| pos < http::MAX_HEAD_BYTES)
-    {
-        let mut out = Vec::with_capacity(bytes.len());
-        out.extend_from_slice(&bytes[..pos]);
-        out.extend_from_slice(b"Connection: close\r\n");
-        out.extend_from_slice(&bytes[pos + KEEP.len()..]);
-        out
-    } else {
-        bytes
     }
 }
 
@@ -1591,15 +1441,5 @@ mod tests {
         assert_eq!(metrics::handler_panics().get(), before + 1);
         // Calls that do not panic pass straight through.
         assert_eq!(isolate(false, || 7).ok(), Some(7));
-    }
-
-    #[test]
-    fn force_connection_close_rewrites_the_header() {
-        let rendered = http::render_response(200, "OK", "text/plain", &[], b"hi", true);
-        let closed = force_connection_close(rendered);
-        let text = String::from_utf8(closed).unwrap();
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-        assert!(!text.contains("keep-alive"), "{text}");
-        assert!(text.ends_with("hi"), "{text}");
     }
 }

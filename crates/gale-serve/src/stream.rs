@@ -7,14 +7,15 @@
 //! request, so a mutation burst costs one incremental refresh, not one per
 //! mutation. Node verdicts follow the same rule as feature verdicts
 //! (`server::verdict`): a non-finite score answers `500`, never a
-//! verdict. Feature-body `/score` requests never touch the mutex — they
-//! keep the shard path.
+//! verdict. A removed node answers `410 Gone`, never a verdict, and
+//! mutations naming it come back as rejected outcomes. Feature-body
+//! `/score` requests never touch the mutex — they keep the shard path.
 
 use crate::http;
 use crate::metrics;
 use crate::server::{nonfinite_response, verdicts};
 use gale_json::{json, Value};
-use gale_stream::{Mutation, StreamEngine};
+use gale_stream::{Mutation, ScoreError, StreamEngine};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -112,7 +113,8 @@ impl StreamState {
 
     /// Node-mode `POST /score` — lazily refreshes dirty nodes, then
     /// answers with the same verdict vocabulary as the feature-body path,
-    /// plus the `graph_version` each verdict was computed at.
+    /// plus the `graph_version` each verdict was computed at. A request
+    /// naming a removed node answers `410` and scores nothing.
     pub fn score_nodes(&self, body: &[u8], ka: bool) -> Vec<u8> {
         let nodes = match parse_nodes(body) {
             Ok(nodes) => nodes,
@@ -164,7 +166,20 @@ impl StreamState {
                     ka,
                 )
             }
-            Err(msg) => http::render_json(400, "Bad Request", &[], &json!({"error": msg}), ka),
+            Err(e @ ScoreError::Removed { node }) => http::render_json(
+                410,
+                "Gone",
+                &[],
+                &json!({"error": e.to_string(), "removed_node": node}),
+                ka,
+            ),
+            Err(e @ ScoreError::OutOfRange { .. }) => http::render_json(
+                400,
+                "Bad Request",
+                &[],
+                &json!({"error": e.to_string()}),
+                ka,
+            ),
         }
     }
 

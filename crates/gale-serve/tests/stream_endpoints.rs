@@ -1,14 +1,15 @@
 //! Streaming endpoints over real sockets: `/mutate` applies deltas and
 //! bumps the graph version, node-mode `/score` lazily refreshes dirty
 //! verdicts and stamps them with the version, `/debug/stream` exposes the
-//! quarantine ring and mutation log, and a server booted *without* a
-//! stream engine answers 404 on the stream paths.
+//! quarantine ring and mutation log, removed nodes answer 410 and reject
+//! later mutations, and a server booted *without* a stream engine answers
+//! 404 on the stream paths.
 
 use gale_core::{Sgan, SganConfig};
 use gale_json::Value;
 use gale_nn::{Activation, Gae, Gcn};
 use gale_serve::{serve, serve_with_stream, ServeConfig};
-use gale_stream::{BaseGraph, DeltaGraph, StreamConfig, StreamEngine};
+use gale_stream::{BaseGraph, CompactionPolicy, DeltaGraph, StreamConfig, StreamEngine};
 use gale_tensor::{Matrix, Rng, SparseMatrix};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,6 +18,10 @@ const DX: usize = 4;
 const DZ: usize = 3;
 
 fn engine(n: usize, seed: u64) -> StreamEngine {
+    engine_with(n, seed, CompactionPolicy::default())
+}
+
+fn engine_with(n: usize, seed: u64, policy: CompactionPolicy) -> StreamEngine {
     let mut rng = Rng::seed_from_u64(seed);
     let mut t = Vec::new();
     for i in 0..n {
@@ -40,7 +45,7 @@ fn engine(n: usize, seed: u64) -> StreamEngine {
         &mut rng,
     );
     StreamEngine::new(
-        DeltaGraph::new(BaseGraph::Mem(a)),
+        DeltaGraph::with_policy(BaseGraph::Mem(a), policy),
         x,
         gae,
         sgan,
@@ -265,5 +270,65 @@ fn a_node_with_a_non_finite_score_gets_no_verdict() {
     // Finite nodes keep scoring.
     let (status, _) = exchange(addr, &request("POST", "/score", r#"{"nodes": [0, 1]}"#));
     assert_eq!(status, 200);
+    handle.shutdown();
+}
+
+#[test]
+fn removed_nodes_answer_410_and_reject_mutations_across_compaction() {
+    // Compact after every batch that changes anything, so the tombstone
+    // must survive the overlay being folded into a fresh CSR.
+    let policy = CompactionPolicy {
+        min_churn: 1,
+        churn_ratio: 0.0,
+    };
+    let handle = serve_with_stream(
+        shard_model(9),
+        &ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        Some(engine_with(16, 9, policy)),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let mutate = |body: &str| exchange(addr, &request("POST", "/mutate", body));
+
+    let (status, doc) = mutate(r#"{"mutations": [{"op": "remove_node", "node": 3}]}"#);
+    assert_eq!(status, 200, "remove_node failed: {doc:?}");
+    assert_eq!(doc["outcomes"][0]["admitted"].as_bool(), Some(true));
+    assert_eq!(doc["compacted"].as_bool(), Some(true));
+    let mut version = doc["graph_version"].as_u64();
+
+    for round in 0..2 {
+        let (status, doc) = exchange(addr, &request("POST", "/score", r#"{"nodes": [0, 3]}"#));
+        assert_eq!(status, 410, "a removed node was scored: {doc:?}");
+        assert_eq!(doc["removed_node"].as_u64(), Some(3));
+        assert!(doc.get("verdicts").is_none());
+
+        let (status, doc) = mutate(
+            r#"{"mutations": [
+                {"op": "add_edge", "u": 3, "v": 4},
+                {"op": "update_attrs", "node": 3, "attrs": [1.0, 2.0, 3.0, 4.0]}
+            ]}"#,
+        );
+        assert_eq!(status, 200, "mutate failed: {doc:?}");
+        for outcome in doc["outcomes"].as_array().unwrap() {
+            assert_eq!(outcome["admitted"].as_bool(), Some(false), "{outcome:?}");
+            assert_eq!(outcome["reason"].as_str(), Some("removed_node"));
+        }
+        assert_eq!(doc["graph_version"].as_u64(), version);
+
+        // Live nodes keep scoring; then a compaction-triggering change to
+        // the rest of the graph, after which the tombstone must hold.
+        let (status, _) = exchange(addr, &request("POST", "/score", r#"{"nodes": [0, 4]}"#));
+        assert_eq!(status, 200);
+        let (u, v) = (8 + 2 * round, 9 + 2 * round);
+        let (status, doc) = mutate(&format!(
+            r#"{{"mutations": [{{"op": "remove_edge", "u": {u}, "v": {v}}}]}}"#
+        ));
+        assert_eq!(status, 200, "mutate failed: {doc:?}");
+        assert_eq!(doc["compacted"].as_bool(), Some(true));
+        version = doc["graph_version"].as_u64();
+    }
     handle.shutdown();
 }

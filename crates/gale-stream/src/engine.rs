@@ -1,20 +1,27 @@
 //! The streaming engine: mutations in, lazily-refreshed verdicts out.
 //!
-//! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder
-//! and SGAN discriminator, the frozen input standardizer, and the cached
-//! per-node scoring state. Mutations mark k-hop dirty sets; the next
-//! score request triggers a neighborhood-local refresh whose outputs are
-//! bitwise-equal to rebuilding and re-scoring the mutated graph from
-//! scratch with the same model artifacts (gated in `BENCH_stream.json`).
+//! Owns the [`DeltaGraph`], the feature matrix, the trained GAE encoder,
+//! the forward-only [`SganInfer`] lowering of the SGAN discriminator, the
+//! frozen input standardizer, and the cached per-node scoring state.
+//! Mutations mark k-hop dirty sets; the next score request triggers a
+//! neighborhood-local refresh whose outputs are bitwise-equal to
+//! rebuilding and re-scoring the mutated graph from scratch with the same
+//! model artifacts (gated in `BENCH_stream.json`).
+//!
+//! A removed node is a tombstone: its id stays allocated, but it is never
+//! scored again ([`ScoreError::Removed`]), and every later mutation that
+//! names it comes back rejected. The tombstone set lives here, not in the
+//! graph, so it outlives every compaction.
 
 use crate::admission::{AdmissionConfig, AdmissionFilter, QuarantinedEdge};
 use crate::delta::DeltaGraph;
 use crate::dirty::{DirtyTracker, GCN_HOPS};
 use crate::mutation::{Mutation, MutationLog};
-use gale_core::{ColumnStandardizer, MemoCache, Sgan};
+use gale_core::{ColumnStandardizer, MemoCache, Sgan, SganInfer};
 use gale_json::{json, Value};
 use gale_nn::Gae;
 use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized};
+use std::collections::BTreeSet;
 
 /// Edges sampled (deterministically, in row order) from the base graph to
 /// seed the admission filter's distance statistics.
@@ -38,6 +45,44 @@ impl Default for StreamConfig {
     }
 }
 
+/// Rejection reason of a mutation that names a removed node.
+pub const REMOVED_NODE: &str = "removed_node";
+
+/// Why [`StreamEngine::score_nodes`] scored nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScoreError {
+    /// The id names no node.
+    OutOfRange {
+        /// The requested id.
+        node: usize,
+        /// Nodes in the graph, tombstones included.
+        nodes: usize,
+    },
+    /// The node was removed; a tombstone has no verdict.
+    Removed {
+        /// The requested id.
+        node: usize,
+    },
+}
+
+impl std::fmt::Display for ScoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScoreError::OutOfRange { node, nodes } => {
+                write!(f, "node {node} out of range ({nodes} nodes)")
+            }
+            ScoreError::Removed { node } => write!(f, "node {node} was removed"),
+        }
+    }
+}
+
+/// Lets callers that report errors as strings use `?`.
+impl From<ScoreError> for String {
+    fn from(e: ScoreError) -> String {
+        e.to_string()
+    }
+}
+
 /// Outcome of one mutation inside an [`StreamEngine::apply`] batch.
 #[derive(Debug, Clone)]
 pub struct MutationOutcome {
@@ -47,7 +92,8 @@ pub struct MutationOutcome {
     pub kind: &'static str,
     /// Whether it was admitted and applied.
     pub admitted: bool,
-    /// Quarantine reason label for rejected edges.
+    /// Why it was rejected: a quarantine reason label for edges, or
+    /// [`REMOVED_NODE`] for a mutation naming a tombstone.
     pub reason: Option<&'static str>,
     /// Id assigned by `add_node` mutations.
     pub assigned_node: Option<usize>,
@@ -86,8 +132,10 @@ pub struct StreamEngine {
     graph: DeltaGraph,
     x: Matrix,
     gae: Gae,
-    sgan: Sgan,
+    sgan: SganInfer<f64>,
     standardizer: ColumnStandardizer,
+    /// Removed nodes; never scored, never mutated again.
+    tombstones: BTreeSet<usize>,
     /// Current embeddings, one row per node (dirty rows are stale).
     z: Matrix,
     /// Current 3-class probabilities, one row per node.
@@ -111,7 +159,9 @@ impl StreamEngine {
     /// `standardizer` freezes the discriminator-input affine map; pass
     /// `None` to fit it on this graph's `[X | Z]` (the artifact is then
     /// available via [`StreamEngine::standardizer`] for exact-rebuild
-    /// comparisons and bundle export).
+    /// comparisons and bundle export). The engine keeps only the
+    /// discriminator's forward-only f64 lowering, which scores bit for bit
+    /// like `sgan`.
     pub fn new(
         graph: DeltaGraph,
         x: Matrix,
@@ -145,7 +195,6 @@ impl StreamEngine {
             None => ColumnStandardizer::fit(&inputs),
         };
         standardizer.apply(&mut inputs);
-        let mut sgan = sgan;
         if sgan.input_dim() != inputs.cols() {
             return Err(format!(
                 "discriminator wants {} inputs, graph provides {}",
@@ -153,6 +202,7 @@ impl StreamEngine {
                 inputs.cols()
             ));
         }
+        let mut sgan = sgan.to_infer::<f64>();
         let mut probs = Matrix::zeros(0, 0);
         sgan.probs3_into(&inputs, &mut probs);
 
@@ -167,6 +217,7 @@ impl StreamEngine {
             gae,
             sgan,
             standardizer,
+            tombstones: BTreeSet::new(),
             z,
             probs,
             verdict_version: vec![0; n],
@@ -250,14 +301,27 @@ impl StreamEngine {
 
     fn apply_one(&mut self, m: &Mutation) -> Result<MutationOutcome, String> {
         let n = self.graph.node_count();
-        let check = |node: usize| -> Result<(), String> {
-            if node >= n {
-                Err(format!("node {node} out of range ({n} nodes)"))
-            } else {
-                Ok(())
+        let named: &[usize] = match m {
+            Mutation::AddNode { .. } => &[],
+            Mutation::RemoveNode { node } | Mutation::UpdateAttrs { node, .. } => {
+                std::slice::from_ref(node)
             }
+            Mutation::AddEdge { u, v, .. } | Mutation::RemoveEdge { u, v } => &[*u, *v],
         };
+        if let Some(node) = named.iter().find(|&&node| node >= n) {
+            return Err(format!("node {node} out of range ({n} nodes)"));
+        }
         let kind = m.kind();
+        if named.iter().any(|node| self.tombstones.contains(node)) {
+            let seq = self.log.record(m.clone(), false, self.graph_version);
+            return Ok(MutationOutcome {
+                seq,
+                kind,
+                admitted: false,
+                reason: Some(REMOVED_NODE),
+                assigned_node: None,
+            });
+        }
         let mut assigned_node = None;
         let mut admitted = true;
         let mut reason = None;
@@ -282,17 +346,15 @@ impl StreamEngine {
                 assigned_node = Some(id);
             }
             Mutation::RemoveNode { node } => {
-                check(*node)?;
                 let mut seeds = vec![*node];
                 self.graph.visit_neighbors(*node, &mut |c, _| seeds.push(c));
                 self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
                 self.graph.remove_node(*node);
                 self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                self.tombstones.insert(*node);
                 self.graph_version += 1;
             }
             Mutation::AddEdge { u, v, weight } => {
-                check(*u)?;
-                check(*v)?;
                 if u == v {
                     return Err("add_edge: self-loops are implicit".into());
                 }
@@ -323,8 +385,6 @@ impl StreamEngine {
                 }
             }
             Mutation::RemoveEdge { u, v } => {
-                check(*u)?;
-                check(*v)?;
                 let seeds = [*u, *v];
                 self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
                 self.graph.remove_edge(*u, *v);
@@ -332,7 +392,6 @@ impl StreamEngine {
                 self.graph_version += 1;
             }
             Mutation::UpdateAttrs { node, attrs } => {
-                check(*node)?;
                 if attrs.len() != self.x.cols() {
                     return Err(format!(
                         "update_attrs width {} != feature width {}",
@@ -416,11 +475,16 @@ impl StreamEngine {
     }
 
     /// Scores the requested nodes, lazily refreshing dirty state first.
-    pub fn score_nodes(&mut self, nodes: &[usize]) -> Result<Vec<NodeScore>, String> {
+    /// Fails, scoring nothing, on the first id that names no node or a
+    /// removed one.
+    pub fn score_nodes(&mut self, nodes: &[usize]) -> Result<Vec<NodeScore>, ScoreError> {
         let n = self.graph.node_count();
-        for &v in nodes {
-            if v >= n {
-                return Err(format!("node {v} out of range ({n} nodes)"));
+        for &node in nodes {
+            if node >= n {
+                return Err(ScoreError::OutOfRange { node, nodes: n });
+            }
+            if self.tombstones.contains(&node) {
+                return Err(ScoreError::Removed { node });
             }
         }
         self.refresh();
@@ -442,7 +506,8 @@ impl StreamEngine {
         }
     }
 
-    /// Every node's verdict, refreshed. For equality gates in the bench.
+    /// Every node's verdict, refreshed, tombstones included (a tombstone
+    /// scores as an isolated node). For equality gates in the bench.
     pub fn all_scores(&mut self) -> Vec<NodeScore> {
         self.refresh();
         (0..self.graph.node_count())
@@ -532,5 +597,91 @@ fn seed_admission(filter: &mut AdmissionFilter, graph: &DeltaGraph, x: &Matrix) 
                 break 'rows;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::delta::BaseGraph;
+    use gale_core::SganConfig;
+    use gale_nn::{Activation, Gcn};
+    use gale_tensor::Rng;
+
+    /// An 8-node ring with random features and untrained models.
+    fn ring_engine() -> StreamEngine {
+        let n = 8;
+        let mut rng = Rng::seed_from_u64(17);
+        let ring: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n, 1.0), ((i + 1) % n, i, 1.0)])
+            .collect();
+        let gae = Gae::from_parts(
+            Gcn::new_detached(3, 4, 2, Activation::Identity, &mut rng),
+            0.0,
+        );
+        let sgan_cfg = SganConfig {
+            d_hidden: vec![4],
+            g_hidden: vec![4],
+            ..Default::default()
+        };
+        StreamEngine::new(
+            DeltaGraph::new(BaseGraph::Mem(SparseMatrix::from_triplets(n, n, ring))),
+            Matrix::randn(n, 3, 1.0, &mut rng),
+            gae,
+            Sgan::new(5, &sgan_cfg, &mut rng),
+            None,
+            StreamConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// Asserts node 3 is a tombstone: unscorable, and every mutation that
+    /// names it is rejected without touching the graph or its features.
+    fn assert_tombstoned(engine: &mut StreamEngine) {
+        assert_eq!(
+            engine.score_nodes(&[0, 3]).unwrap_err(),
+            ScoreError::Removed { node: 3 }
+        );
+        assert_eq!(engine.score_nodes(&[0, 4]).unwrap().len(), 2);
+        let (version, row) = (engine.graph_version(), engine.features().row(3).to_vec());
+        let report = engine
+            .apply(&[
+                Mutation::AddEdge {
+                    u: 4,
+                    v: 3,
+                    weight: 1.0,
+                },
+                Mutation::UpdateAttrs {
+                    node: 3,
+                    attrs: vec![0.0; 3],
+                },
+                Mutation::RemoveEdge { u: 3, v: 2 },
+                Mutation::RemoveNode { node: 3 },
+            ])
+            .unwrap();
+        for o in &report.outcomes {
+            assert!(!o.admitted, "{} naming a tombstone was admitted", o.kind);
+            assert_eq!(o.reason, Some(REMOVED_NODE));
+        }
+        assert_eq!(report.graph_version, version);
+        assert_eq!(engine.features().row(3), &row[..]);
+        assert!(!engine.graph.has_edge(3, 4));
+    }
+
+    #[test]
+    fn removed_nodes_stay_tombstoned_across_compaction() {
+        let mut engine = ring_engine();
+        let report = engine.apply(&[Mutation::RemoveNode { node: 3 }]).unwrap();
+        assert!(report.outcomes[0].admitted);
+        assert_tombstoned(&mut engine);
+        // Compaction folds the overlay into a fresh CSR in which node 3 is
+        // just an isolated row; the tombstone must survive it.
+        engine.graph.compact();
+        assert_eq!(engine.graph_compactions(), 1);
+        assert_tombstoned(&mut engine);
+        assert_eq!(
+            engine.score_nodes(&[99]).unwrap_err(),
+            ScoreError::OutOfRange { node: 99, nodes: 8 }
+        );
     }
 }

@@ -36,5 +36,5 @@ pub use admission::{AdmissionConfig, AdmissionFilter, QuarantinedEdge, RejectRea
 pub use bundle::{load_bundle, save_bundle};
 pub use delta::{BaseGraph, CompactionPolicy, DeltaGraph};
 pub use dirty::{DirtyTracker, GCN_HOPS};
-pub use engine::{ApplyReport, MutationOutcome, NodeScore, StreamConfig, StreamEngine};
+pub use engine::{ApplyReport, MutationOutcome, NodeScore, ScoreError, StreamConfig, StreamEngine};
 pub use mutation::{LogEntry, Mutation, MutationLog};
