@@ -962,10 +962,9 @@ fn cmd_bench_stream(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(&scratch).map_err(|e| format!("mkdir {}: {e}", scratch.display()))?;
     let bundle = scratch.join("stream-bundle");
     // The non-smoke bundle must be large enough that a 2-hop dirty
-    // closure (plus its one-hop refresh frontier) is a small fraction of
-    // the graph — locality is the whole bet. At the demo's ~6 average
-    // degree a round dirties a few hundred nodes, so 8k nodes keeps the
-    // frontier under ~15% of the graph.
+    // closure is a small fraction of the graph — locality is the whole
+    // bet. At the demo's ~6 average degree a round dirties a few hundred
+    // nodes, so 8k nodes keeps the closure under ~15% of the graph.
     let (nodes, dim, rounds, http_mutations) = if smoke {
         (240usize, 8usize, 4usize, 40usize)
     } else {

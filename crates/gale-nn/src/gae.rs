@@ -314,18 +314,10 @@ impl Gae {
         self.encoder.forward_access_into(a, x, out);
     }
 
-    /// Embeds only the nodes in `rows` (sorted, deduplicated), writing
-    /// `|rows| x out_dim` rows to `out` in `rows` order — each row
-    /// bitwise-equal to the corresponding row of [`Gae::embed_access`].
-    /// The streaming path's incremental refresh after a graph delta.
-    pub fn embed_rows_access<A: NeighborAccess + Sync + ?Sized>(
-        &mut self,
-        a: &A,
-        rows: &[usize],
-        x: &Matrix,
-        out: &mut Matrix,
-    ) {
-        self.encoder.forward_rows_access_into(a, rows, x, out);
+    /// The encoder, for its neighborhood-local row forwards
+    /// ([`Gcn::hidden_rows_access_into`], [`Gcn::output_rows_access_into`]).
+    pub fn encoder_mut(&mut self) -> &mut Gcn {
+        &mut self.encoder
     }
 
     /// Produces embeddings for the given features (evaluation mode).

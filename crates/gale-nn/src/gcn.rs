@@ -298,66 +298,55 @@ impl Gcn {
         self.layer2.forward_access_into(a, &self.hidden, out);
     }
 
-    /// Neighborhood-local inference: recomputes only the output rows
-    /// `rows` (which must be sorted ascending and deduplicated) of a
-    /// full-graph forward over `a`, writing them to `out` in `rows`
-    /// order. `x` is the full feature matrix (`a.node_count()` rows).
+    /// Neighborhood-local layer 1: recomputes the hidden rows `rows`
+    /// (sorted ascending, deduplicated) of a full-graph forward over `a`
+    /// and writes them in place into `hidden`, the `n x hidden_dim`
+    /// layer-1 activations kept from an earlier pass. `x` is the full
+    /// feature matrix (`a.node_count()` rows).
     ///
-    /// The receptive field of a 2-layer GCN output row is its 2-hop
-    /// neighborhood, so this gathers the 1-hop frontier `F = rows ∪
-    /// N(rows)`, runs layer 1 over the frontier's full operator rows, and
-    /// layer 2 over the `rows` operator rows with columns remapped into
-    /// the frontier. Both layers accumulate per row in the same ascending
-    /// column order as [`Gcn::forward_access_into`] and share
-    /// `finish_forward`, so each output row is **bitwise identical** to
-    /// the same row of the full pass (proptested in gale-stream).
-    ///
-    /// Cost is `O(|F| · d̄)` operator entries instead of `O(nnz)` — the
-    /// streaming path's incremental refresh after a graph delta.
-    pub fn forward_rows_access_into<A: NeighborAccess + Sync + ?Sized>(
+    /// Each row reads its full operator row with global columns, in the
+    /// same ascending order as [`Gcn::forward_access_into`], and shares
+    /// `finish_forward`, so every written row is **bitwise identical** to
+    /// the same row of the full pass. Cost is `O(Σ_rows d̄)` operator
+    /// entries — the streaming path's incremental refresh.
+    pub fn hidden_rows_access_into<A: NeighborAccess + Sync + ?Sized>(
         &mut self,
         a: &A,
         rows: &[usize],
         x: &Matrix,
-        out: &mut Matrix,
+        hidden: &mut Matrix,
     ) {
         assert_eq!(x.rows(), a.node_count(), "Gcn: node count mismatch");
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "Gcn: rows must be sorted and deduplicated"
-        );
-        // 1-hop closed frontier of the requested rows, ascending.
-        let mut frontier_set = std::collections::BTreeSet::new();
-        for &r in rows {
-            frontier_set.insert(r);
-            a.visit_neighbors(r, &mut |c, _| {
-                frontier_set.insert(c);
-            });
+        assert_eq!(hidden.rows(), a.node_count(), "Gcn: hidden row mismatch");
+        self.layer1
+            .forward_block_into(&rows_block(a, rows), x, &mut self.hidden);
+        for (k, &r) in rows.iter().enumerate() {
+            hidden.set_row(r, self.hidden.row(k));
         }
-        let frontier: Vec<usize> = frontier_set.into_iter().collect();
+    }
 
-        // Layer 1 over the frontier's full operator rows (global columns).
-        let mut op1 = CsrBlock::new();
-        op1.reset(a.node_count());
-        for &r in &frontier {
-            a.visit_neighbors(r, &mut |c, v| op1.push(c, v));
-            op1.finish_row();
-        }
-        self.layer1.forward_block_into(&op1, x, &mut self.hidden);
+    /// Neighborhood-local layer 2: the output rows `rows` (sorted
+    /// ascending, deduplicated) of a full-graph forward over `a`, read
+    /// from the full `n x hidden_dim` layer-1 activations `hidden` and
+    /// written to `out` in `rows` order. Bitwise identical to those rows
+    /// of [`Gcn::forward_access_into`] whenever `hidden` is (for instance
+    /// after [`Gcn::hidden_rows_access_into`] refreshed its stale rows).
+    pub fn output_rows_access_into<A: NeighborAccess + Sync + ?Sized>(
+        &mut self,
+        a: &A,
+        rows: &[usize],
+        hidden: &Matrix,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(hidden.rows(), a.node_count(), "Gcn: hidden row mismatch");
+        self.layer2
+            .forward_block_into(&rows_block(a, rows), hidden, out);
+    }
 
-        // Layer 2 over the requested rows, columns remapped into frontier
-        // positions (ascending global order maps to ascending local order,
-        // preserving the accumulation order of the full pass).
-        let mut op2 = CsrBlock::new();
-        op2.reset(frontier.len());
-        for &r in rows {
-            a.visit_neighbors(r, &mut |c, v| {
-                let local = frontier.binary_search(&c).expect("frontier covers N(rows)");
-                op2.push(local, v);
-            });
-            op2.finish_row();
-        }
-        self.layer2.forward_block_into(&op2, &self.hidden, out);
+    /// Moves the layer-1 activations of the most recent forward out of the
+    /// encoder (no copy), leaving it an empty matrix.
+    pub fn take_hidden(&mut self) -> Matrix {
+        std::mem::replace(&mut self.hidden, Matrix::zeros(0, 0))
     }
 
     /// Hidden representation from the most recent forward pass.
@@ -379,6 +368,22 @@ impl Gcn {
             ghidden: Matrix::zeros(0, 0),
         }
     }
+}
+
+/// The operator rows `rows` of `a` (sorted ascending, deduplicated) as a
+/// block over all of `a`'s columns, each row in `a`'s visit order.
+fn rows_block<A: NeighborAccess + ?Sized>(a: &A, rows: &[usize]) -> CsrBlock {
+    debug_assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "Gcn: rows must be sorted and deduplicated"
+    );
+    let mut op = CsrBlock::new();
+    op.reset(a.node_count());
+    for &r in rows {
+        a.visit_neighbors(r, &mut |c, v| op.push(c, v));
+        op.finish_row();
+    }
+    op
 }
 
 impl Layer for Gcn {
@@ -487,13 +492,26 @@ mod tests {
         let x = Matrix::randn(8, 3, 1.0, &mut rng);
         let mut full = Matrix::zeros(0, 0);
         net.forward_access_into(s.as_ref(), &x, &mut full);
+        let full_hidden = net.take_hidden();
+        let bits = |m: &Matrix, r: usize| m.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for rows in [vec![0usize], vec![3, 4], vec![0, 1, 2, 3, 4, 5, 6, 7]] {
+            // Layer 1 rewrites exactly `rows` of a stale hidden matrix.
+            let mut hidden = full_hidden.clone();
+            for &r in &rows {
+                hidden.row_mut(r).fill(f64::NAN);
+            }
+            net.hidden_rows_access_into(s.as_ref(), &rows, &x, &mut hidden);
+            for r in 0..8 {
+                assert_eq!(
+                    bits(&hidden, r),
+                    bits(&full_hidden, r),
+                    "hidden row {r} of {rows:?}"
+                );
+            }
             let mut partial = Matrix::zeros(0, 0);
-            net.forward_rows_access_into(s.as_ref(), &rows, &x, &mut partial);
+            net.output_rows_access_into(s.as_ref(), &rows, &hidden, &mut partial);
             for (k, &r) in rows.iter().enumerate() {
-                let got: Vec<u64> = partial.row(k).iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> = full.row(r).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "row {r} of {rows:?}");
+                assert_eq!(bits(&partial, k), bits(&full, r), "row {r} of {rows:?}");
             }
         }
     }

@@ -218,6 +218,10 @@ struct ShardStats {
     last_batch_version: AtomicU64,
     /// Batched forward passes this shard has executed.
     batches: AtomicU64,
+    /// Scoring-buffer takes this shard's replicas served from the pool.
+    pool_hits: AtomicU64,
+    /// Scoring-buffer takes that had to allocate.
+    pool_misses: AtomicU64,
 }
 
 /// One shard's `/debug/queues` row.
@@ -233,6 +237,10 @@ pub struct ShardSnapshot {
     pub last_batch_version: u64,
     /// Forward passes executed.
     pub batches: u64,
+    /// Scoring-buffer takes served from the shard's pool.
+    pub pool_hits: u64,
+    /// Scoring-buffer takes that allocated.
+    pub pool_misses: u64,
     /// Arithmetic width this shard scores at (fixed at construction).
     pub precision: Precision,
 }
@@ -330,8 +338,11 @@ impl<E: Element> Scorer for Replica<E> {
         stats.last_batch_rows.store(rows as u64, Ordering::Relaxed);
         stats.last_batch_version.store(*version, Ordering::Relaxed);
         let (hits, misses) = ws.stats();
-        metrics::pool_hits().add(hits - reported.0);
-        metrics::pool_misses().add(misses - reported.1);
+        let (new_hits, new_misses) = (hits - reported.0, misses - reported.1);
+        metrics::pool_hits().add(new_hits);
+        metrics::pool_misses().add(new_misses);
+        stats.pool_hits.fetch_add(new_hits, Ordering::Relaxed);
+        stats.pool_misses.fetch_add(new_misses, Ordering::Relaxed);
         *reported = (hits, misses);
 
         let precision = Precision::of::<E>();
@@ -477,6 +488,8 @@ impl ShardPool {
                 last_batch_rows: s.stats.last_batch_rows.load(Ordering::Relaxed),
                 last_batch_version: s.stats.last_batch_version.load(Ordering::Relaxed),
                 batches: s.stats.batches.load(Ordering::Relaxed),
+                pool_hits: s.stats.pool_hits.load(Ordering::Relaxed),
+                pool_misses: s.stats.pool_misses.load(Ordering::Relaxed),
                 precision: s.precision,
             })
             .collect()

@@ -27,7 +27,8 @@
 //! - `GET /debug/slow` — snapshots the tail-capture ring: every request
 //!   slower than the configured threshold or answered with an error.
 //! - `GET /debug/queues` — per-shard queue depth, in-flight jobs, last
-//!   batch size and version, and server uptime.
+//!   batch size and version, scoring-buffer pool hits and misses, and
+//!   server uptime.
 //!
 //! Every `/score` reply (success or error) carries a process-unique
 //! `request_id`, matching the id in its trace records. Tracing is on by

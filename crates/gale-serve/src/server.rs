@@ -440,6 +440,8 @@ fn handle_request(
                         "last_batch_rows": s.last_batch_rows,
                         "last_batch_version": s.last_batch_version,
                         "batches": s.batches,
+                        "pool_hits": s.pool_hits,
+                        "pool_misses": s.pool_misses,
                         "precision": s.precision.as_str(),
                     })
                 })

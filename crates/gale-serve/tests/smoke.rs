@@ -194,16 +194,32 @@ fn served_scores_match_in_process_bitwise() {
 
     // Allocation-free steady state: the second scored batch reused the
     // first batch's pooled buffers, and further requests keep hitting the
-    // pool without new allocations (hits grow, misses plateau).
-    let hits = metric_value(addr, "serve_pool_hits");
-    let misses = metric_value(addr, "serve_pool_misses");
-    assert!(hits >= 2.0, "pool never reused a buffer: hits {hits}");
+    // pool without new allocations (hits grow, misses plateau). Read from
+    // this server's own shards: the `/metrics` pool counters are
+    // process-wide, and the other tests' servers bump them concurrently.
+    let (hits, misses) = pool_counts(addr);
+    assert!(hits >= 2, "pool never reused a buffer: hits {hits}");
     let x = Matrix::randn(3, dim, 1.0, &mut rng);
     assert_eq!(post(addr, "/score", &score_request_body(&x)).status, 200);
-    assert!(metric_value(addr, "serve_pool_hits") > hits);
-    assert_eq!(metric_value(addr, "serve_pool_misses"), misses);
+    let (hits_after, misses_after) = pool_counts(addr);
+    assert!(hits_after > hits);
+    assert_eq!(misses_after, misses);
 
     handle.shutdown();
+}
+
+/// `(hits, misses)` of the scoring-buffer pools, summed over the shards of
+/// the server at `addr` (`/debug/queues`).
+fn pool_counts(addr: SocketAddr) -> (u64, u64) {
+    let doc = get(addr, "/debug/queues").json();
+    let shards = doc.get("shards").and_then(Value::as_array).unwrap();
+    let sum = |field: &str| {
+        shards
+            .iter()
+            .map(|s| s.get(field).and_then(Value::as_u64).unwrap())
+            .sum()
+    };
+    (sum("pool_hits"), sum("pool_misses"))
 }
 
 fn metric_value(addr: SocketAddr, series: &str) -> f64 {

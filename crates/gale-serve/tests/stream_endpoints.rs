@@ -183,6 +183,8 @@ fn invalid_mutations_are_rejected_not_applied() {
     for body in [
         r#"{"mutations": [{"op": "warp", "u": 0}]}"#,
         r#"{"mutations": [{"op": "add_edge", "u": 0, "v": 999}]}"#,
+        r#"{"mutations": [{"op": "add_node", "attrs": [1e999, 0, 0, 0]}]}"#,
+        r#"{"mutations": [{"op": "update_attrs", "node": 1, "attrs": [0, 0, -1e999, 0]}]}"#,
         r#"{"nope": true}"#,
     ] {
         let (status, _) = exchange(addr, &request("POST", "/mutate", body));
@@ -196,6 +198,55 @@ fn invalid_mutations_are_rejected_not_applied() {
     // Nothing above may have moved the graph version.
     let (_, doc) = exchange(addr, &request("GET", "/debug/stream", ""));
     assert_eq!(doc.get("graph_version").and_then(Value::as_f64), Some(0.0));
+    handle.shutdown();
+}
+
+#[test]
+fn a_batch_with_a_bad_trailing_mutation_changes_nothing() {
+    let handle = serve_with_stream(
+        shard_model(10),
+        &ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        },
+        Some(engine(8, 10)),
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let score = || exchange(addr, &request("POST", "/score", r#"{"nodes": [0, 1, 2]}"#));
+    let debug = || exchange(addr, &request("GET", "/debug/stream", "")).1;
+    let (status, scores_before) = score();
+    assert_eq!(status, 200);
+    let debug_before = debug();
+
+    // Each batch starts with a valid rewrite of node 1 and ends with a
+    // mutation that cannot apply: neither half may land.
+    for body in [
+        r#"{"mutations": [
+            {"op": "update_attrs", "node": 1, "attrs": [9.0, -9.0, 9.0, -9.0]},
+            {"op": "add_edge", "u": 5, "v": 5}
+        ]}"#,
+        r#"{"mutations": [
+            {"op": "update_attrs", "node": 1, "attrs": [9.0, -9.0, 9.0, -9.0]},
+            {"op": "add_node", "attrs": [1.0, 2.0, 3.0, 4.0]},
+            {"op": "add_edge", "u": 1, "v": 9}
+        ]}"#,
+        r#"{"mutations": [
+            {"op": "update_attrs", "node": 1, "attrs": [9.0, -9.0, 9.0, -9.0]},
+            {"op": "update_attrs", "node": 2, "attrs": [1.0]}
+        ]}"#,
+    ] {
+        let (status, doc) = exchange(addr, &request("POST", "/mutate", body));
+        assert_eq!(status, 400, "applied a bad batch: {doc:?}");
+        assert_eq!(debug(), debug_before, "/debug/stream moved after {body}");
+        let (status, scores) = score();
+        assert_eq!(status, 200);
+        assert_eq!(
+            scores, scores_before,
+            "node 1's features moved after {body}"
+        );
+    }
+    assert_eq!(debug_before["graph_version"].as_f64(), Some(0.0));
     handle.shutdown();
 }
 

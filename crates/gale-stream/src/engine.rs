@@ -6,7 +6,12 @@
 //! Mutations mark k-hop dirty sets; the next score request triggers a
 //! neighborhood-local refresh whose outputs are bitwise-equal to
 //! rebuilding and re-scoring the mutated graph from scratch with the same
-//! model artifacts (gated in `BENCH_stream.json`).
+//! model artifacts (gated in `BENCH_stream.json`). The engine keeps the
+//! encoder's layer-1 activations and the `D̃^{-1/2}` diagonal for every
+//! node, so a refresh recomputes only the entries a delta made stale.
+//!
+//! A mutation batch applies in full or not at all: [`StreamEngine::apply`]
+//! validates every mutation before it applies the first.
 //!
 //! A removed node is a tombstone: its id stays allocated, but it is never
 //! scored again ([`ScoreError::Removed`]), and every later mutation that
@@ -15,17 +20,21 @@
 
 use crate::admission::{AdmissionConfig, AdmissionFilter, QuarantinedEdge};
 use crate::delta::DeltaGraph;
-use crate::dirty::{DirtyTracker, GCN_HOPS};
+use crate::dirty::DirtyTracker;
 use crate::mutation::{Mutation, MutationLog};
 use gale_core::{ColumnStandardizer, MemoCache, Sgan, SganInfer};
 use gale_json::{json, Value};
 use gale_nn::Gae;
-use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized};
+use gale_tensor::{Matrix, NeighborAccess, SparseMatrix, SymNormalized, Workspace};
 use std::collections::BTreeSet;
 
 /// Edges sampled (deterministically, in row order) from the base graph to
 /// seed the admission filter's distance statistics.
 const ADMISSION_SEED_CAP: usize = 4096;
+
+/// Rows per forward in a refresh: large enough to amortize each kernel
+/// call, small enough to bound the refresh scratch.
+const REFRESH_CHUNK: usize = 512;
 
 /// Streaming engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -136,8 +145,14 @@ pub struct StreamEngine {
     standardizer: ColumnStandardizer,
     /// Removed nodes; never scored, never mutated again.
     tombstones: BTreeSet<usize>,
-    /// Current embeddings, one row per node (dirty rows are stale).
-    z: Matrix,
+    /// The encoder's layer-1 activations, one row per node (rows in the
+    /// dirty tracker's hidden set are stale).
+    hidden: Matrix,
+    /// The `D̃^{-1/2}` diagonal of the graph view (entries of the hidden
+    /// set are stale).
+    inv_sqrt: Vec<f64>,
+    /// Refresh scratch, at most [`REFRESH_CHUNK`] rows per buffer.
+    ws: Workspace,
     /// Current 3-class probabilities, one row per node.
     probs: Matrix,
     /// Graph version each node's verdict was computed at.
@@ -174,12 +189,13 @@ impl StreamEngine {
         if x.rows() != n {
             return Err(format!("feature rows {} != graph nodes {n}", x.rows()));
         }
-        // Initial full embedding over the normalized view.
+        // Initial full embedding over the normalized view; its degree
+        // diagonal and hidden layer become the refresh state.
         let mut z = Matrix::zeros(0, 0);
-        {
-            let op = SymNormalized::new(&graph);
-            gae.embed_access(&op, &x, &mut z);
-        }
+        let op = SymNormalized::new(&graph);
+        gae.embed_access(&op, &x, &mut z);
+        let inv_sqrt = op.into_inv_sqrt();
+        let hidden = gae.encoder_mut().take_hidden();
         let mut inputs = concat_rows(&x, &z);
         let standardizer = match standardizer {
             Some(st) => {
@@ -218,7 +234,9 @@ impl StreamEngine {
             sgan,
             standardizer,
             tombstones: BTreeSet::new(),
-            z,
+            hidden,
+            inv_sqrt,
+            ws: Workspace::new(),
             probs,
             verdict_version: vec![0; n],
             graph_version: 0,
@@ -281,13 +299,11 @@ impl StreamEngine {
     /// Applies a mutation batch: admission-filters edges, mutates the
     /// overlay and features, marks k-hop dirty sets, and maybe compacts.
     /// Verdicts are *not* refreshed here — that happens lazily on the
-    /// next score request.
+    /// next score request. An invalid mutation anywhere in the batch fails
+    /// the whole batch before any of it is applied.
     pub fn apply(&mut self, muts: &[Mutation]) -> Result<ApplyReport, String> {
-        let mut outcomes = Vec::with_capacity(muts.len());
-        for m in muts {
-            let outcome = self.apply_one(m)?;
-            outcomes.push(outcome);
-        }
+        self.validate(muts)?;
+        let outcomes: Vec<MutationOutcome> = muts.iter().map(|m| self.apply_one(m)).collect();
         let compacted = self.graph.maybe_compact();
         self.memo.ensure_len(self.graph.node_count());
         gale_obs::counter_add!("stream.mutations", muts.len() as u64);
@@ -299,46 +315,64 @@ impl StreamEngine {
         })
     }
 
-    fn apply_one(&mut self, m: &Mutation) -> Result<MutationOutcome, String> {
-        let n = self.graph.node_count();
-        let named: &[usize] = match m {
-            Mutation::AddNode { .. } => &[],
-            Mutation::RemoveNode { node } | Mutation::UpdateAttrs { node, .. } => {
-                std::slice::from_ref(node)
+    /// Checks a whole batch against the graph as the batch would grow it:
+    /// every named node exists (counting the batch's own `add_node`s),
+    /// every attribute row has the feature width, and no edge is a
+    /// self-loop.
+    fn validate(&self, muts: &[Mutation]) -> Result<(), String> {
+        let mut n = self.graph.node_count();
+        let width = self.x.cols();
+        for m in muts {
+            match m {
+                Mutation::AddNode { attrs } | Mutation::UpdateAttrs { attrs, .. }
+                    if attrs.len() != width =>
+                {
+                    return Err(format!(
+                        "{} attrs width {} != feature width {width}",
+                        m.kind(),
+                        attrs.len()
+                    ));
+                }
+                Mutation::AddEdge { u, v, .. } if u == v => {
+                    return Err("add_edge: self-loops are implicit".into());
+                }
+                _ => {}
             }
-            Mutation::AddEdge { u, v, .. } | Mutation::RemoveEdge { u, v } => &[*u, *v],
-        };
-        if let Some(node) = named.iter().find(|&&node| node >= n) {
-            return Err(format!("node {node} out of range ({n} nodes)"));
+            if let Some(node) = named(m).find(|&node| node >= n) {
+                return Err(format!("node {node} out of range ({n} nodes)"));
+            }
+            if let Mutation::AddNode { .. } = m {
+                n += 1;
+            }
         }
+        Ok(())
+    }
+
+    /// Applies one mutation of a batch [`StreamEngine::validate`] passed.
+    fn apply_one(&mut self, m: &Mutation) -> MutationOutcome {
         let kind = m.kind();
-        if named.iter().any(|node| self.tombstones.contains(node)) {
+        if named(m).any(|node| self.tombstones.contains(&node)) {
             let seq = self.log.record(m.clone(), false, self.graph_version);
-            return Ok(MutationOutcome {
+            return MutationOutcome {
                 seq,
                 kind,
                 admitted: false,
                 reason: Some(REMOVED_NODE),
                 assigned_node: None,
-            });
+            };
         }
         let mut assigned_node = None;
         let mut admitted = true;
         let mut reason = None;
         match m {
             Mutation::AddNode { attrs } => {
-                if attrs.len() != self.x.cols() {
-                    return Err(format!(
-                        "add_node attrs width {} != feature width {}",
-                        attrs.len(),
-                        self.x.cols()
-                    ));
-                }
                 let id = self.graph.add_node();
                 self.x.resize(id + 1, self.x.cols());
                 self.x.set_row(id, attrs);
                 self.memo.ensure_len(id + 1);
-                self.z.resize(id + 1, self.z.cols());
+                // Placeholders: the fresh node is marked stale below.
+                self.hidden.resize(id + 1, self.hidden.cols());
+                self.inv_sqrt.push(0.0);
                 self.probs.resize(id + 1, self.probs.cols());
                 self.verdict_version.push(0);
                 self.graph_version += 1;
@@ -348,16 +382,13 @@ impl StreamEngine {
             Mutation::RemoveNode { node } => {
                 let mut seeds = vec![*node];
                 self.graph.visit_neighbors(*node, &mut |c, _| seeds.push(c));
-                self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                self.dirty.mark(&self.graph, &seeds);
                 self.graph.remove_node(*node);
-                self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                self.dirty.mark(&self.graph, &seeds);
                 self.tombstones.insert(*node);
                 self.graph_version += 1;
             }
             Mutation::AddEdge { u, v, weight } => {
-                if u == v {
-                    return Err("add_edge: self-loops are implicit".into());
-                }
                 let dist = self.memo.distance(&self.x, *u, *v);
                 match self
                     .filter
@@ -376,9 +407,9 @@ impl StreamEngine {
                     }
                     None => {
                         let seeds = [*u, *v];
-                        self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                        self.dirty.mark(&self.graph, &seeds);
                         self.graph.add_edge(*u, *v, *weight);
-                        self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                        self.dirty.mark(&self.graph, &seeds);
                         self.filter.observe(dist);
                         self.graph_version += 1;
                     }
@@ -386,67 +417,77 @@ impl StreamEngine {
             }
             Mutation::RemoveEdge { u, v } => {
                 let seeds = [*u, *v];
-                self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                self.dirty.mark(&self.graph, &seeds);
                 self.graph.remove_edge(*u, *v);
-                self.dirty.mark_khop(&self.graph, &seeds, GCN_HOPS);
+                self.dirty.mark(&self.graph, &seeds);
                 self.graph_version += 1;
             }
             Mutation::UpdateAttrs { node, attrs } => {
-                if attrs.len() != self.x.cols() {
-                    return Err(format!(
-                        "update_attrs width {} != feature width {}",
-                        attrs.len(),
-                        self.x.cols()
-                    ));
-                }
                 self.x.set_row(*node, attrs);
                 self.memo.invalidate_nodes(&[*node]);
                 // The operator is unchanged; features flow through both
                 // hops, so one post-apply marking covers the closure.
-                self.dirty.mark_khop(&self.graph, &[*node], GCN_HOPS);
+                self.dirty.mark(&self.graph, &[*node]);
                 self.graph_version += 1;
             }
         }
         let seq = self.log.record(m.clone(), admitted, self.graph_version);
-        Ok(MutationOutcome {
+        MutationOutcome {
             seq,
             kind,
             admitted,
             reason,
             assigned_node,
-        })
+        }
     }
 
-    /// Refreshes every dirty node's embedding, probabilities, and verdict
-    /// via the neighborhood-local forward. Returns the number refreshed.
+    /// Refreshes every dirty node's probabilities and verdict via the
+    /// neighborhood-local forward. Returns the number refreshed.
+    ///
+    /// The hidden-stale rows get a fresh `D̃^{-1/2}` entry and layer-1
+    /// row; then layer 2 and the discriminator run over the output-stale
+    /// rows, reading the kept hidden layer. Nothing here is `O(n)`.
     pub fn refresh(&mut self) -> usize {
         if self.dirty.is_empty() {
             return 0;
         }
         let started = std::time::Instant::now();
-        let rows = self.dirty.sorted();
-        let mut z_sub = Matrix::zeros(0, 0);
-        {
-            let op = SymNormalized::new(&self.graph);
-            self.gae.embed_rows_access(&op, &rows, &self.x, &mut z_sub);
+        let (hidden_rows, rows) = self.dirty.take();
+        for &r in &hidden_rows {
+            self.inv_sqrt[r] = SymNormalized::inv_sqrt_of(&self.graph, r);
+        }
+        let op = SymNormalized::from_inv_sqrt(&self.graph, std::mem::take(&mut self.inv_sqrt));
+        // Rows run in fixed-size chunks through pooled buffers: every row
+        // is computed alone, so chunking keeps the bits, and the scratch
+        // stays bounded and allocated once. Fresh refresh-sized
+        // temporaries of varying size fragment the heap and raise peak RSS.
+        let encoder = self.gae.encoder_mut();
+        for chunk in hidden_rows.chunks(REFRESH_CHUNK) {
+            encoder.hidden_rows_access_into(&op, chunk, &self.x, &mut self.hidden);
         }
         let dx = self.x.cols();
-        let dz = self.z.cols();
-        let mut inputs = Matrix::zeros(rows.len(), dx + dz);
-        for (k, &v) in rows.iter().enumerate() {
-            self.z.set_row(v, z_sub.row(k));
-            let row = inputs.row_mut(k);
-            row[..dx].copy_from_slice(self.x.row(v));
-            row[dx..].copy_from_slice(z_sub.row(k));
-            self.standardizer.apply_row(row);
+        let mut z = self.ws.take(0, 0);
+        let mut inputs = self.ws.take(0, 0);
+        let mut probs = self.ws.take(0, 0);
+        for chunk in rows.chunks(REFRESH_CHUNK) {
+            encoder.output_rows_access_into(&op, chunk, &self.hidden, &mut z);
+            inputs.resize(chunk.len(), dx + z.cols());
+            for (k, &v) in chunk.iter().enumerate() {
+                let row = inputs.row_mut(k);
+                row[..dx].copy_from_slice(self.x.row(v));
+                row[dx..].copy_from_slice(z.row(k));
+                self.standardizer.apply_row(row);
+            }
+            self.sgan.probs3_into(&inputs, &mut probs);
+            for (k, &v) in chunk.iter().enumerate() {
+                self.probs.set_row(v, probs.row(k));
+                self.verdict_version[v] = self.graph_version;
+            }
         }
-        let mut probs_sub = Matrix::zeros(0, 0);
-        self.sgan.probs3_into(&inputs, &mut probs_sub);
-        for (k, &v) in rows.iter().enumerate() {
-            self.probs.set_row(v, probs_sub.row(k));
-            self.verdict_version[v] = self.graph_version;
+        self.inv_sqrt = op.into_inv_sqrt();
+        for m in [z, inputs, probs] {
+            self.ws.give(m);
         }
-        self.dirty.clear();
         let elapsed = started.elapsed();
         self.refresh_ns += elapsed.as_nanos() as u64;
         self.refreshes += 1;
@@ -454,17 +495,20 @@ impl StreamEngine {
         rows.len()
     }
 
-    /// Recomputes every node's embedding, probabilities, and verdict from
-    /// scratch over the current graph view — the exact computation
-    /// [`StreamEngine::new`] runs at construction. This is the control the
-    /// incremental [`StreamEngine::refresh`] is timed and bit-compared
-    /// against in `BENCH_stream.json`. Returns the node count.
+    /// Recomputes every node's probabilities and verdict from scratch over
+    /// the current graph view — the exact computation
+    /// [`StreamEngine::new`] runs at construction — and resets the refresh
+    /// state with it: the `D̃^{-1/2}` diagonal, the hidden layer, and both
+    /// dirty sets. This is the control the incremental
+    /// [`StreamEngine::refresh`] is timed and bit-compared against in
+    /// `BENCH_stream.json`. Returns the node count.
     pub fn rescore_full(&mut self) -> usize {
-        {
-            let op = SymNormalized::new(&self.graph);
-            self.gae.embed_access(&op, &self.x, &mut self.z);
-        }
-        let mut inputs = concat_rows(&self.x, &self.z);
+        let mut z = Matrix::zeros(0, 0);
+        let op = SymNormalized::new(&self.graph);
+        self.gae.embed_access(&op, &self.x, &mut z);
+        self.inv_sqrt = op.into_inv_sqrt();
+        self.hidden = self.gae.encoder_mut().take_hidden();
+        let mut inputs = concat_rows(&self.x, &z);
         self.standardizer.apply(&mut inputs);
         self.sgan.probs3_into(&inputs, &mut self.probs);
         for version in &mut self.verdict_version {
@@ -563,6 +607,16 @@ impl StreamEngine {
             "log_tail": Value::Array(tail),
         })
     }
+}
+
+/// The existing nodes a mutation names (none for `add_node`).
+fn named(m: &Mutation) -> impl Iterator<Item = usize> {
+    let pair = match *m {
+        Mutation::AddNode { .. } => [None, None],
+        Mutation::RemoveNode { node } | Mutation::UpdateAttrs { node, .. } => [Some(node), None],
+        Mutation::AddEdge { u, v, .. } | Mutation::RemoveEdge { u, v } => [Some(u), Some(v)],
+    };
+    pair.into_iter().flatten()
 }
 
 /// `[x | z]` row-wise concatenation (unstandardized).
@@ -666,6 +720,61 @@ mod tests {
         assert_eq!(report.graph_version, version);
         assert_eq!(engine.features().row(3), &row[..]);
         assert!(!engine.graph.has_edge(3, 4));
+    }
+
+    #[test]
+    fn a_batch_with_a_bad_trailing_mutation_applies_nothing() {
+        let mut engine = ring_engine();
+        let before = (engine.debug_json().to_string(), engine.features().clone());
+        let attrs = vec![7.0; 3];
+        for batch in [
+            vec![
+                Mutation::UpdateAttrs {
+                    node: 1,
+                    attrs: attrs.clone(),
+                },
+                Mutation::AddEdge {
+                    u: 5,
+                    v: 5,
+                    weight: 1.0,
+                },
+            ],
+            vec![
+                Mutation::AddNode {
+                    attrs: attrs.clone(),
+                },
+                Mutation::AddEdge {
+                    u: 0,
+                    v: 9,
+                    weight: 1.0,
+                },
+            ],
+            vec![
+                Mutation::RemoveEdge { u: 0, v: 1 },
+                Mutation::UpdateAttrs {
+                    node: 2,
+                    attrs: vec![1.0],
+                },
+            ],
+        ] {
+            assert!(engine.apply(&batch).is_err(), "{batch:?} applied");
+            assert_eq!(engine.graph_version(), 0);
+            assert_eq!(engine.node_count(), 8);
+            assert_eq!(engine.dirty_count(), 0);
+            assert!(engine.features() == &before.1, "features moved");
+            assert_eq!(engine.debug_json().to_string(), before.0);
+        }
+        // The batch's own add_node makes its id valid for later mutations.
+        let report = engine
+            .apply(&[
+                Mutation::AddNode {
+                    attrs: attrs.clone(),
+                },
+                Mutation::UpdateAttrs { node: 8, attrs },
+            ])
+            .unwrap();
+        assert_eq!(report.outcomes[0].assigned_node, Some(8));
+        assert_eq!(report.graph_version, 2);
     }
 
     #[test]

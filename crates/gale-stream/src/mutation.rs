@@ -105,9 +105,10 @@ impl Mutation {
                 .and_then(Value::as_array)
                 .ok_or_else(|| format!("`{op}` needs a numeric array `attrs`"))?
                 .iter()
-                .map(|e| {
-                    e.as_f64()
-                        .ok_or_else(|| format!("`{op}`: non-numeric attr"))
+                .map(|e| match e.as_f64() {
+                    None => Err(format!("`{op}`: non-numeric attr")),
+                    Some(a) if !a.is_finite() => Err(format!("`{op}`: attrs must be finite")),
+                    Some(a) => Ok(a),
                 })
                 .collect()
         };
@@ -268,6 +269,24 @@ mod tests {
         assert!(
             Mutation::parse_batch(r#"{"mutations":[{"op":"add_edge","u":-1,"v":1}]}"#).is_err()
         );
+    }
+
+    #[test]
+    fn non_finite_attrs_are_rejected_at_decode() {
+        for attrs in ["[1e999, 0]", "[0, -1e999]"] {
+            for op in [r#""add_node""#, r#""update_attrs", "node": 1"#] {
+                let body = format!(r#"{{"mutations":[{{"op":{op},"attrs":{attrs}}}]}}"#);
+                let err = Mutation::parse_batch(&body).unwrap_err();
+                assert!(err.contains("attrs must be finite"), "{body}: {err}");
+            }
+        }
+        let weight = r#"{"mutations":[{"op":"add_edge","u":0,"v":1,"weight":1e999}]}"#;
+        assert!(Mutation::parse_batch(weight)
+            .unwrap_err()
+            .contains("finite"));
+        // Huge but finite attrs still decode.
+        let body = r#"{"mutations":[{"op":"add_node","attrs":[1e308, -1e308]}]}"#;
+        assert!(Mutation::parse_batch(body).is_ok());
     }
 
     #[test]

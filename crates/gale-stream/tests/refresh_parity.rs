@@ -1,12 +1,15 @@
 //! Engine-level parity: after any mutation stream, the incremental
 //! refresh produces verdicts bitwise-equal to building a fresh engine
-//! over the mutated graph with the same model artifacts, and a bundle
-//! round trip preserves every bit.
+//! over the mutated graph with the same model artifacts — also when the
+//! stream arrives in batches whose refreshes, and the compactions between
+//! them, reuse the engine's kept hidden layer and degree diagonal — and a
+//! bundle round trip preserves every bit.
 
 use gale_core::{Sgan, SganConfig};
 use gale_nn::{Activation, Gae, Gcn};
 use gale_stream::{
-    load_bundle, save_bundle, BaseGraph, DeltaGraph, Mutation, StreamConfig, StreamEngine,
+    load_bundle, save_bundle, BaseGraph, CompactionPolicy, DeltaGraph, Mutation, NodeScore,
+    StreamConfig, StreamEngine,
 };
 use gale_tensor::{Matrix, Rng, SparseMatrix};
 use proptest::prelude::*;
@@ -100,12 +103,41 @@ fn random_mutations(n: usize, count: usize, seed: u64) -> Vec<Mutation> {
 }
 
 fn engine_over(a: SparseMatrix, x: Matrix, seed: u64) -> StreamEngine {
+    engine_with(DeltaGraph::new(BaseGraph::Mem(a)), x, seed)
+}
+
+fn engine_with(graph: DeltaGraph, x: Matrix, seed: u64) -> StreamEngine {
     let (gae, sgan) = artifacts(seed);
     let mut cfg = StreamConfig::default();
     // Parity runs must apply every mutation the reference applies.
     cfg.admission.enabled = false;
-    StreamEngine::new(DeltaGraph::new(BaseGraph::Mem(a)), x, gae, sgan, None, cfg)
-        .expect("engine build")
+    StreamEngine::new(graph, x, gae, sgan, None, cfg).expect("engine build")
+}
+
+/// Every verdict of `live`, refreshed, against a fresh engine built over
+/// `live`'s current graph with the same artifacts and frozen standardizer.
+fn from_scratch_pair(live: &mut StreamEngine, seed: u64) -> (Vec<NodeScore>, Vec<NodeScore>) {
+    let incremental = live.all_scores();
+    let (gae, sgan) = artifacts(seed);
+    let mut cfg = StreamConfig::default();
+    cfg.admission.enabled = false;
+    let mut fresh = StreamEngine::new(
+        DeltaGraph::new(BaseGraph::Mem(live.snapshot_graph())),
+        live.features().clone(),
+        gae,
+        sgan,
+        Some(live.standardizer().clone()),
+        cfg,
+    )
+    .expect("reference build");
+    (incremental, fresh.all_scores())
+}
+
+fn same_bits(a: &NodeScore, b: &NodeScore) -> bool {
+    a.node == b.node
+        && (0..3).all(|d| a.probs[d].to_bits() == b.probs[d].to_bits())
+        && a.score.to_bits() == b.score.to_bits()
+        && a.erroneous == b.erroneous
 }
 
 proptest! {
@@ -121,23 +153,7 @@ proptest! {
         let mut live = engine_over(a, x, seed);
         let muts = random_mutations(n, count, seed);
         live.apply(&muts).expect("mutations apply");
-        let incremental = live.all_scores();
-
-        // From-scratch reference over the mutated graph with the same
-        // artifacts and the same frozen standardizer.
-        let (gae, sgan) = artifacts(seed);
-        let mut cfg = StreamConfig::default();
-        cfg.admission.enabled = false;
-        let mut fresh = StreamEngine::new(
-            DeltaGraph::new(BaseGraph::Mem(live.snapshot_graph())),
-            live.features().clone(),
-            gae,
-            sgan,
-            Some(live.standardizer().clone()),
-            cfg,
-        )
-        .expect("reference build");
-        let reference = fresh.all_scores();
+        let (incremental, reference) = from_scratch_pair(&mut live, seed);
 
         prop_assert_eq!(incremental.len(), reference.len());
         for (i, r) in incremental.iter().zip(&reference) {
@@ -152,6 +168,60 @@ proptest! {
             prop_assert_eq!(i.score.to_bits(), r.score.to_bits(), "node {}", i.node);
             prop_assert_eq!(i.erroneous, r.erroneous, "node {}", i.node);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn interleaved_batches_and_refreshes_match_from_scratch(
+        n in 5usize..24,
+        batches in 2usize..7,
+        seed in 0u64..500,
+    ) {
+        let (a, x) = random_graph(n, seed);
+        // Compact after every batch that changes anything, so refreshes
+        // reuse hidden rows and degree entries across fresh CSR bases.
+        let policy = CompactionPolicy { min_churn: 1, churn_ratio: 0.0 };
+        let mut live = engine_with(DeltaGraph::with_policy(BaseGraph::Mem(a), policy), x, seed);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+        for b in 0..batches {
+            let count = 1 + rng.below(8);
+            let muts = random_mutations(live.node_count(), count, seed + 1000 * b as u64);
+            live.apply(&muts).expect("mutations apply");
+            // Refresh after some batches only, so dirty sets also pile up
+            // across batches and compactions before one refresh.
+            if b + 1 < batches && rng.below(3) == 0 {
+                continue;
+            }
+            let asked: Vec<usize> = (0..3).map(|_| rng.below(live.node_count())).collect();
+            // A request naming a tombstone refreshes nothing; score the
+            // whole graph then, which refreshes the same way.
+            if live.score_nodes(&asked).is_ok() {
+                prop_assert_eq!(live.dirty_count(), 0);
+            }
+            let (incremental, reference) = from_scratch_pair(&mut live, seed);
+            prop_assert_eq!(incremental.len(), reference.len());
+            for (i, r) in incremental.iter().zip(&reference) {
+                prop_assert!(same_bits(i, r), "batch {} node {}: {:?} vs {:?}", b, i.node, i, r);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_refresh_larger_than_one_chunk_matches_from_scratch() {
+    let (a, x) = random_graph(1500, 77);
+    let mut live = engine_over(a, x, 77);
+    live.apply(&random_mutations(1500, 120, 77))
+        .expect("mutations apply");
+    // The refresh runs its rows 512 at a time.
+    assert!(live.dirty_count() > 1024, "{} dirty", live.dirty_count());
+    let (incremental, reference) = from_scratch_pair(&mut live, 77);
+    assert_eq!(incremental.len(), reference.len());
+    for (i, r) in incremental.iter().zip(&reference) {
+        assert!(same_bits(i, r), "node {}: {i:?} vs {r:?}", i.node);
     }
 }
 

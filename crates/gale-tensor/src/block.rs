@@ -100,19 +100,41 @@ pub struct SymNormalized<'a, A: NeighborAccess + ?Sized> {
 impl<'a, A: NeighborAccess + ?Sized> SymNormalized<'a, A> {
     /// Computes `D̃^{-1/2}` in one pass over the adjacency rows.
     pub fn new(inner: &'a A) -> Self {
-        let n = inner.node_count();
-        let mut inv_sqrt = vec![0.0f64; n];
-        for (r, slot) in inv_sqrt.iter_mut().enumerate() {
-            let mut deg = 0.0f64;
-            visit_tilde_row(inner, r, &mut |_, v| deg += v);
-            *slot = if deg > 0.0 { 1.0 / deg.sqrt() } else { 0.0 };
-        }
+        let inv_sqrt = (0..inner.node_count())
+            .map(|r| Self::inv_sqrt_of(inner, r))
+            .collect();
         SymNormalized { inner, inv_sqrt }
     }
 
-    /// The `D̃^{-1/2}` diagonal.
-    pub fn inv_sqrt_degrees(&self) -> &[f64] {
-        &self.inv_sqrt
+    /// Wraps `inner` with a `D̃^{-1/2}` diagonal the caller kept from an
+    /// earlier view (see [`SymNormalized::into_inv_sqrt`]) and brought up
+    /// to date with [`SymNormalized::inv_sqrt_of`] for every row whose
+    /// degree changed since. Entries equal to those [`SymNormalized::new`]
+    /// computes give a bitwise-identical operator.
+    pub fn from_inv_sqrt(inner: &'a A, inv_sqrt: Vec<f64>) -> Self {
+        assert_eq!(
+            inv_sqrt.len(),
+            inner.node_count(),
+            "SymNormalized: diagonal length != node count"
+        );
+        SymNormalized { inner, inv_sqrt }
+    }
+
+    /// Releases the `D̃^{-1/2}` diagonal for reuse with a later view.
+    pub fn into_inv_sqrt(self) -> Vec<f64> {
+        self.inv_sqrt
+    }
+
+    /// Row `r`'s `D̃^{-1/2}` entry: the same sum [`SymNormalized::new`]
+    /// takes, for one row.
+    pub fn inv_sqrt_of(inner: &A, r: usize) -> f64 {
+        let mut deg = 0.0f64;
+        visit_tilde_row(inner, r, &mut |_, v| deg += v);
+        if deg > 0.0 {
+            1.0 / deg.sqrt()
+        } else {
+            0.0
+        }
     }
 }
 
@@ -447,6 +469,14 @@ mod tests {
             let want: Vec<(usize, u64)> = s.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
             assert_eq!(got, want, "row {r}");
             assert_eq!(adapter.neighbor_count(r), s.row_nnz(r), "row {r} nnz");
+        }
+        // A kept diagonal rewraps into the same operator.
+        let kept = SymNormalized::from_inv_sqrt(&a, adapter.into_inv_sqrt());
+        for r in 0..20 {
+            let mut got: Vec<(usize, u64)> = Vec::new();
+            kept.visit_neighbors(r, &mut |c, v| got.push((c, v.to_bits())));
+            let want: Vec<(usize, u64)> = s.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
+            assert_eq!(got, want, "kept row {r}");
         }
     }
 
